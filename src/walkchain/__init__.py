@@ -20,6 +20,7 @@ from .chains import (
     distribution_to_csv,
     evolve,
     hitting_time,
+    hitting_times,
     matrix_from_csv,
     matrix_to_csv,
     mixing_rate,

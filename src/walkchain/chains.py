@@ -16,6 +16,8 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 #: steps after which mixing-time search gives up (periodic chains never mix)
 MIXING_TIME_CAP = 10_000
+#: largest relative gap allowed between the all-pairs and the direct hitting-time solve
+HITTING_CHECK_RTOL = 1e-9
 
 
 class UnreachableStateError(ValueError):
@@ -161,60 +163,95 @@ def accessible(P: StochasticMatrix, i: int, j: int) -> bool:
     return bool(_reachable(P.entries > 0, i)[j])
 
 
-def _communicating_classes(positive: np.ndarray) -> list[list[int]]:
-    n = positive.shape[0]
-    reach = np.stack([_reachable(positive, i) for i in range(n)])
-    assigned = np.full(n, -1, dtype=int)
+def _successors(P: StochasticMatrix) -> list[list[int]]:
+    """Per-state lists of positive-probability successors, in increasing order."""
+    return [np.flatnonzero(row).tolist() for row in P.entries > 0]
+
+
+def _communicating_classes(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components by iterative Tarjan, each sorted, ordered by smallest member."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
     classes: list[list[int]] = []
-    for i in range(n):
-        if assigned[i] >= 0:
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        members = [j for j in range(n) if reach[i, j] and reach[j, i]]
-        idx = len(classes)
-        for j in members:
-            assigned[j] = idx
-        classes.append(members)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]  # (state, position in its successor list)
+        while work:
+            u, i = work[-1]
+            if i < len(succ[u]):
+                work[-1] = (u, i + 1)
+                v = succ[u][i]
+                if index[v] < 0:
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                    work.append((v, 0))
+                elif on_stack[v]:
+                    low[u] = min(low[u], index[v])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[u])
+            if low[u] == index[u]:
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    if w == u:
+                        break
+                classes.append(sorted(members))
+    classes.sort(key=lambda c: c[0])
     return classes
 
 
-def _class_period(positive: np.ndarray, members: list[int]) -> int:
+def _class_period(succ: list[list[int]], members: list[int], class_of: list[int]) -> int:
     """gcd of cycle lengths through the class, via BFS level differences.
 
     Returns 0 when the class supports no cycle at all (transient singleton).
     """
-    inside = np.zeros(positive.shape[0], dtype=bool)
-    inside[members] = True
-    start = members[0]
-    level = {start: 0}
-    frontier = [start]
+    cid = class_of[members[0]]
+    level = {members[0]: 0}
+    frontier = [members[0]]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for v in np.flatnonzero(positive[u]):
-                v = int(v)
-                if inside[v] and v not in level:
+            for v in succ[u]:
+                if class_of[v] == cid and v not in level:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
     # every intra-class edge closes a (possibly trivial) cycle against the BFS tree
     g = 0
     for u in members:
-        for v in np.flatnonzero(positive[u]):
-            v = int(v)
-            if inside[v]:
+        for v in succ[u]:
+            if class_of[v] == cid:
                 g = math.gcd(g, level[u] + 1 - level[v])
     return g
 
 
-def stationary_distribution(P: StochasticMatrix) -> Distribution:
+def stationary_distribution(P: StochasticMatrix,
+                            classes: list[list[int]] | None = None) -> Distribution:
     """Unique stationary vector of an irreducible chain, by direct linear solve.
 
     Solves (P^T - I) pi = 0 with one equation replaced by normalization
     sum(pi) = 1. Raises ValueError for reducible chains, where no unique
-    stationary distribution exists.
+    stationary distribution exists. ``classes`` are the chain's communicating
+    classes when the caller already has them.
     """
-    positive = P.entries > 0
-    classes = _communicating_classes(positive)
+    if classes is None:
+        classes = _communicating_classes(_successors(P))
     if len(classes) != 1:
         raise ValueError(
             f"chain is reducible ({len(classes)} communicating classes); "
@@ -248,42 +285,88 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_CAP) -> int | None:
-    """Smallest n with max_i TV(row i of P**n, stationary) <= eps, or None.
+def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_CAP, *,
+                stationary: Distribution | None = None, period: int | None = None) -> int | None:
+    """Smallest t in 1..cap with d(t) = max_i TV(row i of P**t, stationary) <= eps.
 
-    None means the chain did not mix within ``cap`` steps, which is guaranteed
-    for periodic chains. Requires irreducibility (via stationary_distribution).
+    None when d(cap) > eps, which is certain for a periodic chain and eps < 1/2.
+
+    Requires irreducibility (via stationary_distribution). A caller that
+    already has both the stationary law and the period of the single class
+    passes them as ``stationary`` and ``period``; otherwise both are computed
+    from one class computation. The periodic case returns at once: every row
+    of P**t sits on one cyclic class, so d(t) >= 1 - 1/period >= 1/2.
+
+    Otherwise the search uses that d(t) never increases (Levin, Peres &
+    Wilmer, *Markov Chains and Mixing Times*, section 4.4). Squaring brackets
+    the answer in (s, 2s] with s a power of two; binary lifting from P**s then
+    adds jumps s/2, s/4, ..., 1 while d stays above eps, rebuilding each
+    P**jump by squaring. That takes O(log(t)^2) matrix products in place of t,
+    and at most three n x n arrays besides P.
     """
-    pi = stationary_distribution(P).probs
-    M = np.array(P.entries)
-    for t in range(1, cap + 1):
-        if t > 1:
-            M = M @ P.entries
-        if 0.5 * np.abs(M - pi[None, :]).sum(axis=1).max() <= eps:
-            return t
-    return None
+    if stationary is None or period is None:
+        succ = _successors(P)
+        classes = _communicating_classes(succ)
+        stationary = stationary_distribution(P, classes)
+        period = _class_period(succ, classes[0], [0] * P.n)
+    if cap < 1 or (period > 1 and eps < 0.5):
+        return None
+    pi = stationary.probs[None, :]
+
+    def above(M: np.ndarray) -> bool:
+        D = M - pi
+        np.abs(D, out=D)
+        return 0.5 * D.sum(axis=1).max() > eps
+
+    s, M = 1, P.entries  # invariant: M = P**s and d(s) > eps
+    if not above(M):
+        return 1
+    while 2 * s <= cap:
+        M2 = M @ M
+        if not above(M2):
+            break
+        s, M = 2 * s, M2
+    M2 = None  # P**(2s) is not needed below
+    # d(s) > eps and d(2s) <= eps unless 2s > cap; lifting ends at the last t < 2s
+    # with d(t) > eps, and t >= cap then means d(cap) > eps
+    t = s
+    for j in range(s.bit_length() - 2, -1, -1):
+        B = P.entries
+        for _ in range(j):
+            B = B @ B
+        C = M @ B
+        del B
+        if above(C):
+            t, M = t + (1 << j), C
+        del C
+    return None if t >= cap else t + 1
 
 
 def analyze(P: StochasticMatrix) -> ChainAnalysis:
-    """Full structural report: classes, closure, periods, stationary behavior."""
-    positive = P.entries > 0
-    classes = _communicating_classes(positive)
-    closed = []
-    periods = []
-    for members in classes:
-        inside = np.zeros(P.n, dtype=bool)
-        inside[members] = True
-        leaves = positive[members][:, ~inside]
-        closed.append(not bool(leaves.any()))
-        periods.append(_class_period(positive, members))
+    """Full structural report: classes, closure, periods, stationary behavior.
+
+    The classes are found once and reused for closure, periods, the
+    stationary solve and the mixing-time search.
+    """
+    succ = _successors(P)
+    classes = _communicating_classes(succ)
+    class_of = [0] * P.n
+    for cid, members in enumerate(classes):
+        for u in members:
+            class_of[u] = cid
+    closed = tuple(all(class_of[v] == cid for u in members for v in succ[u])
+                   for cid, members in enumerate(classes))
+    periods = tuple(_class_period(succ, members, class_of) for members in classes)
     irreducible = len(classes) == 1
-    stationary = stationary_distribution(P) if irreducible else None
-    rate = mixing_rate(P) if irreducible else None
-    t_mix = mixing_time(P) if irreducible else None
+    stationary = rate = t_mix = None
+    if irreducible:
+        stationary = stationary_distribution(P, classes)
+        rate = mixing_rate(P)
+        t_mix = mixing_time(P, stationary=stationary, period=periods[0])
     return ChainAnalysis(
         classes=tuple(tuple(c) for c in classes),
-        closed=tuple(closed),
-        periods=tuple(periods),
+        closed=closed,
+        periods=periods,
         irreducible=irreducible,
         stationary=stationary,
         mixing_rate=rate,
@@ -305,17 +388,41 @@ def hitting_time(P: StochasticMatrix, u: int, v: int) -> float:
         return 0.0
     positive = P.entries > 0
     visitable = _reachable(positive, u)
-    stranded = [
-        int(i) for i in np.flatnonzero(visitable)
-        if i != v and not _reachable(positive, int(i))[v]
-    ]
-    if stranded:  # covers v not being visitable at all: u itself strands then
-        raise UnreachableStateError(v, tuple(stranded))
+    reaches_v = _reachable(positive.T, v)  # one reverse search from the target
+    stranded = np.flatnonzero(visitable & ~reaches_v)
+    if stranded.size:  # covers v not being visitable at all: u itself strands then
+        raise UnreachableStateError(v, tuple(int(i) for i in stranded))
     domain = [int(i) for i in np.flatnonzero(visitable) if i != v]
     idx = {s: k for k, s in enumerate(domain)}
     Q = P.entries[np.ix_(domain, domain)]
     h = np.linalg.solve(np.eye(len(domain)) - Q, np.ones(len(domain)))
     return float(h[idx[u]])
+
+
+def hitting_times(P: StochasticMatrix, pi: Distribution) -> np.ndarray:
+    """All mean first-passage times H[u, v] of an irreducible chain with stationary law pi.
+
+    Uses the fundamental matrix Z = (I - P + 1 pi^T)^-1 and
+    H[u, v] = (Z[v, v] - Z[u, v]) / pi[v] (Kemeny & Snell, *Finite Markov
+    Chains*, 1960): one n x n inverse in place of n^2 linear solves. The
+    diagonal is exactly 0. As a conditioning check, the largest entry is
+    solved again directly by :func:`hitting_time`; a relative disagreement
+    above HITTING_CHECK_RTOL raises ValueError.
+    """
+    if pi.n != P.n:
+        raise ValueError(f"distribution has {pi.n} states but matrix has {P.n}")
+    p = pi.probs
+    Z = np.linalg.inv(np.eye(P.n) - P.entries + p[None, :])
+    H = (np.diag(Z)[None, :] - Z) / p[None, :]
+    np.fill_diagonal(H, 0.0)
+    u, v = (int(i) for i in np.unravel_index(np.argmax(H), H.shape))
+    direct = hitting_time(P, u, v)
+    if abs(H[u, v] - direct) > HITTING_CHECK_RTOL * abs(direct):
+        raise ValueError(
+            f"hitting time {u}->{v}: fundamental matrix gives {H[u, v]!r} but a direct "
+            f"solve gives {direct!r}; the chain is too ill-conditioned"
+        )
+    return H
 
 
 def commute_time(P: StochasticMatrix, u: int, v: int) -> float:

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import chains, ctmc, mapgraph, pipeline, profiles, svgplot
 
 
@@ -88,10 +86,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines += [f"{v},{float(p)!r}" for v, p in enumerate(report.stationary.probs)]
         _write(out / "stationary.csv", "\n".join(lines) + "\n")
         if g.n <= 50:
-            H = np.zeros((g.n, g.n))
-            for v in range(g.n):
-                for u in range(g.n):
-                    H[u, v] = chains.hitting_time(P, u, v)
+            H = chains.hitting_times(P, report.stationary)
             _write(out / "hitting.csv", chains.array_to_csv(H))
             _write(out / "commute.csv", chains.array_to_csv(H + H.T))
     return 0
@@ -173,6 +168,13 @@ def cmd_track(args: argparse.Namespace) -> int:
     snapped = pipeline.snap(trace, g)
     smoothed = pipeline.smooth(trace, g, P, emission_sigma=args.emission_sigma)
 
+    # before any artifact is written: this validates the trace's truth vertices
+    errors = ["method,mean_error_m"]
+    if trace.has_truth():
+        errors.append(f"snap,{pipeline.localization_error(snapped, trace, g)!r}")
+        errors.append(f"smooth,{pipeline.localization_error(smoothed, trace, g)!r}")
+    errors.append(f"reference_prototype,{pipeline.REFERENCE_FIELD_ERROR_M!r}")
+
     obstacles = pipeline.obstacles_from_json(_read(args.obstacles)) if args.obstacles else []
 
     pos = g.positions()
@@ -214,12 +216,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         lines.append(row)
     _write(out / "path.csv", "\n".join(lines) + "\n")
 
-    lines = ["method,mean_error_m"]
-    if trace.has_truth():
-        lines.append(f"snap,{pipeline.localization_error(snapped, trace, g)!r}")
-        lines.append(f"smooth,{pipeline.localization_error(smoothed, trace, g)!r}")
-    lines.append(f"reference_prototype,{pipeline.REFERENCE_FIELD_ERROR_M!r}")
-    _write(out / "summary.csv", "\n".join(lines) + "\n")
+    _write(out / "summary.csv", "\n".join(errors) + "\n")
 
     if blocked:
         held = pipeline.hold_on_obstacle(P, blocked)
@@ -262,14 +259,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_mode(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=profiles.MODES, default=profiles.MODE_EXACT,
+                   help="timing arithmetic mode (default exact)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
-    common.add_argument("--mode", choices=profiles.MODES, default=profiles.MODE_EXACT,
-                        help="timing arithmetic mode (default exact)")
     common.add_argument("--out-dir", default=".", help="directory for written artifacts")
-    common.add_argument("--tolerance", type=float, default=ctmc.DEFAULT_TAIL_TOL,
-                        help="numerical tail tolerance where applicable")
 
     parser = argparse.ArgumentParser(
         prog="walkchain",
@@ -285,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", parents=[common],
                        help="normal-vs-blind walking time table and plot")
     p.add_argument("--distances", required=True, help="file with one distance (m) per line")
+    _add_mode(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("transient", parents=[common],
@@ -292,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--rate", type=float, required=True, help="Poisson event rate (1/s)")
     p.add_argument("--time", type=float, required=True, help="elapsed time t (s)")
+    p.add_argument("--tolerance", type=float, default=ctmc.DEFAULT_TAIL_TOL,
+                   help="Poisson tail mass left out of the series")
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("simulate", parents=[common], help="simulate a walk trace")
@@ -324,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regenerate survey table and distance/time figures")
     p.add_argument("--distances", default=None,
                    help="file with one distance (m) per line (default: built-in survey)")
+    _add_mode(p)
     p.set_defaults(func=cmd_report)
 
     return parser

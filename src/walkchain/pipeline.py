@@ -255,9 +255,14 @@ def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> floa
         raise ValueError(f"estimate length {len(estimate)} != trace length {len(tr)}")
     if not tr.has_truth():
         raise ValueError("trace carries no ground truth; localization error is undefined")
+    truth_states = np.array([f.truth_state for f in tr.fixes], dtype=int)
+    bad = np.flatnonzero((truth_states < 0) | (truth_states >= g.n))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"fix {k}: truth_vertex {truth_states[k]} outside 0..{g.n - 1}")
     pos = g.positions()
     est = pos[np.asarray(estimate, dtype=int)]
-    truth = pos[np.array([f.truth_state for f in tr.fixes], dtype=int)]
+    truth = pos[truth_states]
     return float(np.hypot(*(est - truth).T).mean())
 
 
@@ -444,8 +449,17 @@ def trace_from_csv(text: str, profile_name: str = "") -> Trace:
     return Trace(fixes=tuple(fixes), profile_name=profile_name)
 
 
+def _obstacle_number(item: dict, k: int, key: str, convert=float):
+    """Field ``key`` of obstacle ``k`` (0 when absent) converted by ``convert``."""
+    val = item.get(key, 0.0)
+    try:
+        return convert(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"obstacle[{k}].{key}: expected a number, got {val!r}") from None
+
+
 def obstacles_from_json(text: str) -> list[Obstacle]:
-    """Parse an obstacle file: a JSON list of {id, kind, x, y, vx, vy}."""
+    """Parse an obstacle file: a JSON list of {id, kind, x, y, vx, vy} with distinct ids."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -453,16 +467,21 @@ def obstacles_from_json(text: str) -> list[Obstacle]:
     if not isinstance(doc, list):
         raise ValueError("obstacle file: top level must be a list")
     out = []
+    seen_ids: set[int] = set()
     for k, item in enumerate(doc):
         if not isinstance(item, dict):
             raise ValueError(f"obstacle[{k}]: expected an object, got {item!r}")
         for key in ("id", "kind", "x", "y"):
             if key not in item:
                 raise ValueError(f"obstacle[{k}]: missing field {key!r}")
+        oid = _obstacle_number(item, k, "id", int)
+        if oid in seen_ids:
+            raise ValueError(f"obstacle[{k}].id: duplicate id {oid}")
+        seen_ids.add(oid)
         out.append(Obstacle(
-            id=int(item["id"]),
+            id=oid,
             kind=str(item["kind"]),
-            position=LocalPoint(float(item["x"]), float(item["y"])),
-            velocity=(float(item.get("vx", 0.0)), float(item.get("vy", 0.0))),
+            position=LocalPoint(_obstacle_number(item, k, "x"), _obstacle_number(item, k, "y")),
+            velocity=(_obstacle_number(item, k, "vx"), _obstacle_number(item, k, "vy")),
         ))
     return out

@@ -156,8 +156,15 @@ def load_profile(text: str) -> WalkingProfile:
     for key in ("name", "step_length_m", "step_period_s"):
         if key not in doc:
             raise ValueError(f"profile config: missing field {key!r}")
+
+    def number(key: str) -> float:
+        try:
+            return float(doc[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"profile config: {key} must be a number, got {doc[key]!r}") from None
+
     return WalkingProfile(
         name=str(doc["name"]),
-        step_length=float(doc["step_length_m"]),
-        step_period=float(doc["step_period_s"]),
+        step_length=number("step_length_m"),
+        step_period=number("step_period_s"),
     )

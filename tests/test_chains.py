@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from walkchain import chains
 from walkchain import (
     ChainAnalysis,
     Distribution,
@@ -21,7 +24,9 @@ from walkchain import (
     distribution_from_csv,
     distribution_to_csv,
     evolve,
+    grid_graph,
     hitting_time,
+    hitting_times,
     matrix_from_csv,
     matrix_to_csv,
     mixing_rate,
@@ -247,11 +252,30 @@ class TestMixing:
 
     def test_periodic_chain_never_mixes(self):
         assert mixing_rate(FLIP) == pytest.approx(1.0, abs=1e-12)
-        assert mixing_time(FLIP) is None
+        cycle3 = _sm([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        # period 3 with branching: the cyclic classes are {0}, {1, 2}, {3, 4}
+        mixed = np.zeros((5, 5))
+        mixed[0, [1, 2]] = 0.5
+        mixed[1, [3, 4]] = 0.5
+        mixed[2, 3] = mixed[3, 0] = mixed[4, 0] = 1.0
+        for P in (FLIP, cycle3, StochasticMatrix(mixed)):
+            assert analyze(P).periods[0] > 1
+            for eps in (0.25, 0.1):
+                assert mixing_time(P, eps) is None
+                assert _reference_mixing_time(P, eps, cap=200)[0] is None
+
+    def test_periodic_chain_with_loose_eps_still_searches(self):
+        # d(t) = 1/2 for every t on the swap, so eps = 1/2 is met at once
+        assert mixing_time(FLIP, 0.5) == 1
 
     def test_nearly_frozen_chain_exceeds_cap(self):
         P = _sm([[1 - 1e-7, 1e-7], [1e-7, 1 - 1e-7]])
         assert mixing_time(P) is None
+        assert mixing_time(P, 0.1) is None
+
+    def test_reducible_chain_has_no_mixing_time(self):
+        with pytest.raises(ValueError, match="reducible"):
+            mixing_time(REDUCIBLE)
 
     def test_single_state_rate_is_zero(self):
         assert mixing_rate(_sm([[1.0]])) == 0.0
@@ -327,6 +351,143 @@ class TestPassageTimes:
             frontier = nxt
         for v in range(1, g.n):
             assert hitting_time(P, 0, v) >= dist[v] - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the straightforward computations the closed forms replace
+
+def _reach_matrix(P: StochasticMatrix) -> np.ndarray:
+    """reach[i, j]: j can be reached from i in zero or more positive-probability steps."""
+    reach = np.eye(P.n, dtype=bool) | (P.entries > 0)
+    for _ in range(P.n):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    return reach
+
+
+def _reference_structure(P: StochasticMatrix):
+    """Classes, closure and periods from the full reach matrix and return times."""
+    n = P.n
+    A = P.entries > 0
+    reach = _reach_matrix(P)
+    classes, assigned = [], set()
+    for i in range(n):
+        if i not in assigned:
+            members = [j for j in range(n) if reach[i, j] and reach[j, i]]
+            assigned.update(members)
+            classes.append(tuple(members))
+    closed, periods = [], []
+    for members in classes:
+        inside = np.zeros(n, dtype=bool)
+        inside[list(members)] = True
+        closed.append(not bool(A[list(members)][:, ~inside].any()))
+        # gcd of the lengths of closed walks through the first member, inside the class
+        sub = A[np.ix_(members, members)].astype(int)
+        walk = np.eye(len(members), dtype=int)
+        g = 0
+        for t in range(1, 3 * n + 1):
+            walk = ((walk @ sub) > 0).astype(int)
+            if walk[0, 0]:
+                g = math.gcd(g, t)
+        periods.append(g)
+    return tuple(classes), tuple(closed), tuple(periods)
+
+
+def _reference_mixing_time(P: StochasticMatrix, eps: float, cap: int):
+    """First t in 1..cap with d(t) <= eps by one matrix product per step, and d at each t."""
+    pi = stationary_distribution(P).probs
+    M = np.array(P.entries)
+    d = [None]
+    for t in range(1, cap + 1):
+        if t > 1:
+            M = M @ P.entries
+        d.append(0.5 * np.abs(M - pi[None, :]).sum(axis=1).max())
+        if d[t] <= eps:
+            return t, d
+    return None, d
+
+
+def _irreducible(P: StochasticMatrix) -> bool:
+    return len(_reference_structure(P)[0]) == 1
+
+
+def _lazy(P: StochasticMatrix, hold: float) -> StochasticMatrix:
+    return StochasticMatrix(hold * np.eye(P.n) + (1.0 - hold) * P.entries)
+
+
+class TestReferenceOracles:
+    @given(stochastic_matrices(max_n=7))
+    @settings(max_examples=150)
+    def test_classes_closure_and_periods_match_reach_matrix(self, P):
+        a = analyze(P)
+        assert (a.classes, a.closed, a.periods) == _reference_structure(P)
+
+    @given(connected_graphs(max_n=9))
+    def test_graph_walk_structure_matches_reach_matrix(self, g):
+        P = random_walk_matrix(g)
+        a = analyze(P)
+        assert (a.classes, a.closed, a.periods) == _reference_structure(P)
+
+    @given(st.one_of(connected_graphs(max_n=9).map(random_walk_matrix),
+                     stochastic_matrices(max_n=7)))
+    @settings(max_examples=150)
+    def test_all_pairs_hitting_times_match_pairwise_solves(self, P):
+        assume(_irreducible(P))
+        H = hitting_times(P, stationary_distribution(P))
+        assert np.array_equal(np.diag(H), np.zeros(P.n))
+        for u in range(P.n):
+            for v in range(P.n):
+                assert H[u, v] == pytest.approx(hitting_time(P, u, v), rel=1e-9, abs=0.0)
+
+    def test_hitting_times_rejects_a_disagreeing_direct_solve(self, monkeypatch):
+        P = random_walk_matrix(grid_graph(3, 3))
+        exact = chains.hitting_time
+        monkeypatch.setattr(chains, "hitting_time",
+                            lambda P, u, v: exact(P, u, v) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            hitting_times(P, stationary_distribution(P))
+
+    @given(stochastic_matrices(max_n=7))
+    @settings(max_examples=100)
+    def test_stranded_states_match_forward_searches(self, P):
+        reach = _reach_matrix(P)
+        for u in range(P.n):
+            for v in range(P.n):
+                if u == v:
+                    continue
+                want = tuple(i for i in range(P.n) if reach[u, i] and i != v and not reach[i, v])
+                if want:
+                    with pytest.raises(UnreachableStateError) as exc:
+                        hitting_time(P, u, v)
+                    assert exc.value.stranded == want
+                else:
+                    assert hitting_time(P, u, v) >= 1.0
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1])
+    @given(P=st.one_of(connected_graphs(max_n=9).map(random_walk_matrix),
+                       stochastic_matrices(max_n=6)),
+           hold=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=60)
+    def test_mixing_time_matches_linear_scan(self, eps, P, hold):
+        assume(_irreducible(P))
+        P = _lazy(P, hold) if hold else P
+        want, d = _reference_mixing_time(P, eps, cap=400)
+        got = mixing_time(P, eps, cap=400)
+        if got != want:  # only a numerical tie at eps may separate the two orders of products
+            assert want is not None and got is not None
+            assert min(abs(d[want] - eps), abs(d[want - 1] - eps) if want > 1 else 1.0) < 1e-12
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1])
+    @given(g=connected_graphs(min_n=2, max_n=9))
+    def test_bipartite_walks_never_mix(self, eps, g):
+        P = random_walk_matrix(g)
+        assume(analyze(P).periods == (2,))
+        assert mixing_time(P, eps) is None
+
+    def test_cap_boundary_matches_linear_scan(self):
+        # d(t) = 0.5 * 0.98**t first drops to 1/4 at t = 35
+        P = _sm([[0.99, 0.01], [0.01, 0.99]])
+        for cap in range(1, 41):
+            assert mixing_time(P, cap=cap) == _reference_mixing_time(P, 0.25, cap)[0]
 
 
 class TestSamplePath:

@@ -308,3 +308,56 @@ class TestErrors:
     def test_unknown_subcommand_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["teleport"])
+
+    def test_flags_of_other_subcommands_rejected(self, capsys):
+        for argv in (["analyze", "--map", DEMO_MAP, "--tolerance", "1e-3"],
+                     ["analyze", "--map", DEMO_MAP, "--mode", "exact"],
+                     ["simulate", "--map", DEMO_MAP, "--tolerance", "1e-9"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestInputContract:
+    """Malformed inputs exit 1 with the offending field named and no traceback."""
+
+    def test_truth_vertex_out_of_range(self, tmp_path, line_map, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,0\n1.0,5.8,0.0,3\n",
+                         encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["track", "--map", line_map, "--trace", str(trace), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "truth_vertex 3" in err and "Traceback" not in err
+        assert not out.exists()  # rejected before any artifact is written
+
+    def test_obstacle_with_null_coordinate(self, tmp_path, line_map, capsys):
+        obstacles = tmp_path / "obstacles.json"
+        obstacles.write_text(json.dumps([{"id": 1, "kind": "stationary", "x": None, "y": 0.0}]),
+                             encoding="utf-8")
+        rc = main(["track", "--map", line_map, "--steps", "3", "--obstacles", str(obstacles),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "obstacle[0].x" in capsys.readouterr().err
+
+    def test_duplicate_obstacle_ids(self, tmp_path, line_map, capsys):
+        obstacles = tmp_path / "obstacles.json"
+        obstacles.write_text(json.dumps([
+            {"id": 7, "kind": "stationary", "x": 0.0, "y": 0.0},
+            {"id": 7, "kind": "stationary", "x": 5.0, "y": 0.0},
+        ]), encoding="utf-8")
+        rc = main(["track", "--map", line_map, "--steps", "3", "--obstacles", str(obstacles),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "obstacle[1].id: duplicate id 7" in capsys.readouterr().err
+
+    def test_profile_config_with_null_step_length(self, tmp_path, line_map, capsys):
+        config = tmp_path / "profile.json"
+        config.write_text(json.dumps({"name": "slow", "step_length_m": None,
+                                      "step_period_s": 1.0}), encoding="utf-8")
+        rc = main(["simulate", "--map", line_map, "--profile-config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "step_length_m" in capsys.readouterr().err
