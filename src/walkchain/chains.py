@@ -9,6 +9,7 @@ come from direct linear algebra, never from iteration to convergence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,24 +435,31 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
     """Sample a state trajectory of ``n_steps`` transitions from ``start``.
 
     Deterministic in ``seed`` (numpy PCG64). Returns an int array of length
-    n_steps + 1 beginning with ``start``.
+    n_steps + 1 beginning with ``start``. Each step draws u in [0, 1) and moves
+    to the first state whose cumulative row probability exceeds u, or to state
+    n - 1 when rounding leaves the row total at or below u.
     """
     if not (0 <= start < P.n):
         raise ValueError(f"start state {start} outside 0..{P.n - 1}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_steps)
-    cum = np.cumsum(P.entries, axis=1)
-    path = np.empty(n_steps + 1, dtype=int)
-    path[0] = start
+    u = np.random.default_rng(seed).random(n_steps).tolist()
+    # Only nonzero columns are searched: at a zero column the cumulative sum
+    # repeats its left neighbour's, so it is never the first to exceed u.
+    rows, cols = np.nonzero(P.entries)
+    sums = np.cumsum(P.entries, axis=1)[rows, cols].tolist()
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=P.n)).tolist()
+    bounds, targets = [], []
+    for a, b in zip([0] + ends[:-1], ends):
+        bounds.append(sums[a:b])
+        targets.append(cols[a:b] + [P.n - 1])  # a draw past the row total
+    path = [start]
     state = start
-    for k in range(n_steps):
-        state = int(np.searchsorted(cum[state], u[k], side="right"))
-        if state >= P.n:  # guard against cumulative rounding at the top end
-            state = P.n - 1
-        path[k + 1] = state
-    return path
+    for x in u:
+        state = targets[state][bisect_right(bounds[state], x)]
+        path.append(state)
+    return np.array(path, dtype=int)
 
 
 # ---------------------------------------------------------------------------

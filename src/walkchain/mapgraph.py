@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class PathGraph:
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
+    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [v.id for v in self.vertices]
@@ -98,25 +99,30 @@ class PathGraph:
                 raise MapValidationError(f"duplicate edge ({a}, {b})")
             seen.add(e)
             canonical.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
+        canonical.sort()
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for a, b in canonical:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "edges", tuple(canonical))
+        # canonical is sorted, so every neighbour list comes out in ascending id
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacency)))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if a == i or b == i)
+        return len(self.neighbors(i))
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=int)
-        for a, b in self.edges:
-            d[a] += 1
-            d[b] += 1
-        return d
+        return np.array([len(nb) for nb in self._adjacency], dtype=int)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return tuple(sorted(out))
+        """Neighbours of vertex i in ascending id."""
+        if not (0 <= i < self.n):
+            raise ValueError(f"vertex {i} outside 0..{self.n - 1}")
+        return self._adjacency[i]
 
     def positions(self) -> np.ndarray:
         """Vertex positions as an (n, 2) float array in id order."""
@@ -264,8 +270,8 @@ def random_walk_matrix(g: PathGraph) -> StochasticMatrix:
         raise MapValidationError(
             f"isolated vertices {isolated.tolist()} have no outgoing transition"
         )
+    a, b = np.array(g.edges, dtype=int).reshape(-1, 2).T
     P = np.zeros((g.n, g.n), dtype=float)
-    for a, b in g.edges:
-        P[a, b] = 1.0 / deg[a]
-        P[b, a] = 1.0 / deg[b]
+    P[a, b] = 1.0 / deg[a]
+    P[b, a] = 1.0 / deg[b]
     return StochasticMatrix(P)

@@ -9,6 +9,7 @@ alert delivery (dispatch) sit on top of the recovered position.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import urllib.error
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chains import StochasticMatrix
+from .chains import StochasticMatrix, sample_path
 from .mapgraph import LocalPoint, PathGraph
 from .profiles import WalkingProfile
 
@@ -129,7 +130,7 @@ def simulate_walk(
 ) -> Trace:
     """Walk ``n_steps`` transitions of P over the graph, recording truth and time.
 
-    Each move from u to v advances time by edge length / profile speed. A
+    The states visited are ``sample_path(P, start, n_steps, seed)``. Each move from u to v advances time by edge length / profile speed. A
     self-transition (possible only in held chains) advances time by one step
     period, keeping timestamps strictly increasing.
     """
@@ -137,26 +138,14 @@ def simulate_walk(
         raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
     if not (0 <= start < g.n):
         raise ValueError(f"start vertex {start} outside 0..{g.n - 1}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_steps)
-    cum = np.cumsum(P.entries, axis=1)
+    path = sample_path(P, start, n_steps, seed)
     pos = g.positions()
-    fixes = [Fix(t=0.0, position=g.vertices[start].position, truth_state=start)]
-    state = start
-    t = 0.0
-    for k in range(n_steps):
-        nxt = int(np.searchsorted(cum[state], u[k], side="right"))
-        if nxt >= P.n:
-            nxt = P.n - 1
-        if nxt == state:
-            t += profile.step_period
-        else:
-            t += float(np.hypot(*(pos[nxt] - pos[state]))) / profile.speed
-        state = nxt
-        fixes.append(Fix(t=t, position=g.vertices[state].position, truth_state=state))
-    return Trace(fixes=tuple(fixes), profile_name=profile.name)
+    dx, dy = (pos[path[1:]] - pos[path[:-1]]).T
+    dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
+    times = [0.0] + np.cumsum(dt).tolist()  # float64 cumsum adds in sequence
+    fixes = tuple(Fix(t=t, position=g.vertices[v].position, truth_state=v)
+                  for t, v in zip(times, path.tolist()))
+    return Trace(fixes=fixes, profile_name=profile.name)
 
 
 def add_noise(tr: Trace, sigma: float, seed: int) -> Trace:
@@ -200,8 +189,10 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
 
     Runs max-product dynamic programming in log space with a uniform prior
     over the first state and emission density proportional to
-    exp(-|fix - vertex|^2 / (2 sigma^2)). Stage-wise ties resolve to the lower
-    vertex id. Raises TrellisError when every sequence has zero probability.
+    exp(-|fix - vertex|^2 / (2 sigma^2)). Each stage maximizes over the
+    predecessors of every state only, O(n * d) for largest in-degree d.
+    Stage-wise ties resolve to the lower vertex id. Raises TrellisError when
+    every sequence has zero probability.
     """
     if P.n != g.n:
         raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
@@ -209,9 +200,19 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
         raise ValueError(f"emission_sigma must be finite and > 0, got {emission_sigma!r}")
     m, n = len(tr), g.n
     log_em = _log_emissions(tr, g, emission_sigma)
-    with np.errstate(divide="ignore"):
-        log_P = np.log(P.entries)
-    delta = log_em[0].copy()  # uniform prior contributes a constant; omitted
+    # Predecessor table: row v lists the states u with P[u, v] > 0 in
+    # ascending id, padded to the largest in-degree with the sentinel state n,
+    # whose score stays -inf.
+    dst, src = np.nonzero(P.entries.T)
+    indeg = np.bincount(dst, minlength=n)
+    slot = np.arange(dst.size) - np.repeat(np.cumsum(indeg) - indeg, indeg)
+    pred = np.full((n, int(indeg.max())), n)
+    pred[dst, slot] = src
+    log_w = np.full(pred.shape, -np.inf)
+    log_w[dst, slot] = np.log(P.entries[src, dst])
+    rows = np.arange(n)
+    delta = np.full(n + 1, -np.inf)
+    delta[:n] = log_em[0]  # uniform prior contributes a constant; omitted
     back = np.zeros((m, n), dtype=int)
     if np.max(delta) == -np.inf:
         raise TrellisError(
@@ -219,9 +220,10 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
             "or augment the chain with self-loops"
         )
     for k in range(1, m):
-        cand = delta[:, None] + log_P
-        back[k] = np.argmax(cand, axis=0)  # first max index = lowest vertex id
-        delta = cand[back[k], np.arange(n)] + log_em[k]
+        cand = delta[pred] + log_w
+        j = np.argmax(cand, axis=1)  # first max slot = lowest predecessor id
+        back[k] = pred[rows, j]
+        delta[:n] = cand[rows, j] + log_em[k]
         if np.max(delta) == -np.inf:
             raise TrellisError(
                 f"no positive-probability path survives to fix {k}; widen "
@@ -241,11 +243,12 @@ def sequence_log_score(
     if len(seq) != len(tr):
         raise ValueError(f"sequence length {len(seq)} != trace length {len(tr)}")
     log_em = _log_emissions(tr, g, emission_sigma)
+    states = np.asarray(seq, dtype=int)
     with np.errstate(divide="ignore"):
-        log_P = np.log(P.entries)
+        log_steps = np.log(P.entries[states[:-1], states[1:]])
     score = float(log_em[0, seq[0]])
     for k in range(1, len(seq)):
-        score += float(log_P[seq[k - 1], seq[k]]) + float(log_em[k, seq[k]])
+        score += float(log_steps[k - 1]) + float(log_em[k, seq[k]])
     return score
 
 
@@ -366,7 +369,7 @@ class WebhookSink:
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 return 200 <= resp.status < 300
-        except (urllib.error.URLError, OSError, ValueError):
+        except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError):
             return False
 
 

@@ -29,6 +29,16 @@ from conftest import connected_graphs
 ORIGIN = GeoPoint(40.0, -75.0)
 
 
+@st.composite
+def _simple_graphs(draw, max_n: int = 9) -> PathGraph:
+    """Random simple graph, possibly disconnected, with isolated vertices or no edges."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    vertices = tuple(Vertex(k, LocalPoint(float(k), 0.0)) for k in range(n))
+    return PathGraph(vertices=vertices, edges=tuple(edges))
+
+
 class TestPoints:
     def test_geo_point_rejects_bad_latitude(self):
         with pytest.raises(ValueError):
@@ -112,6 +122,23 @@ class TestPathGraph:
         g = grid_graph(2, 2, 1.0)
         assert g.neighbors(0) == (1, 2)
         assert g.degree(0) == 2
+
+    @given(st.one_of(connected_graphs(max_n=12), _simple_graphs()))
+    def test_adjacency_matches_edge_scan(self, g):
+        for i in range(g.n):
+            scan = tuple(sorted(b if a == i else a for a, b in g.edges if i in (a, b)))
+            assert g.neighbors(i) == scan
+            assert g.degree(i) == len(scan)
+            assert g.degrees()[i] == len(scan)
+        assert g.degrees().shape == (g.n,)
+
+    def test_vertex_outside_graph_rejected(self):
+        g = grid_graph(2, 2, 1.0)
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match="outside"):
+                g.neighbors(i)
+            with pytest.raises(ValueError, match="outside"):
+                g.degree(i)
 
     @given(connected_graphs())
     def test_degree_sum_is_twice_edge_count(self, g):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import http.client
 import itertools
 import json
 import socket
 import threading
+import tracemalloc
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkchain import (
     BLIND,
@@ -42,6 +47,7 @@ from walkchain import (
     trace_from_csv,
     trace_to_csv,
 )
+from conftest import connected_graphs
 
 
 def star4() -> PathGraph:
@@ -263,6 +269,22 @@ class TestSmooth:
         )
         with pytest.raises(TrellisError, match="fix 1"):
             smooth(tr, g, P, emission_sigma=1.0)
+
+    def test_no_dense_transition_work(self):
+        # the dense trellis took log P, an n x n float array; the predecessor
+        # table holds n * d entries, d = 4 on a grid
+        g = grid_graph(40, 40, 1.0)
+        P = random_walk_matrix(g)
+        tr = Trace(fixes=tuple(Fix(t=float(k), position=LocalPoint(float(k), 1.5))
+                               for k in range(5)))
+        tracemalloc.start()
+        try:
+            seq = smooth(tr, g, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq == _dense_smooth(tr, g, P, 1.0)
+        assert peak < g.n * g.n  # an eighth of one n x n float64 array
 
     def test_sigma_validation(self):
         g = grid_graph(2, 2, 1.0)
@@ -492,6 +514,22 @@ class TestDispatch:
         report = dispatch([_event()], [WebhookSink(f"http://127.0.0.1:{port}/x", timeout=0.5)])
         assert report.sinks[0].failed == 1
 
+    @pytest.mark.parametrize("exc", [
+        http.client.BadStatusLine("HTTP/9.9 ???"),
+        http.client.IncompleteRead(b"par", 5),
+        http.client.LineTooLong("header line"),
+    ])
+    def test_webhook_protocol_error_counts_as_failure(self, tmp_path, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(urllib.request, "urlopen", broken)
+        hook = WebhookSink("http://alerts.invalid/x")
+        live = FileSink(tmp_path / "alerts.log")
+        by = dispatch([_event()], [hook, live]).by_sink()
+        assert (by[hook.name].delivered, by[hook.name].failed) == (0, 1)
+        assert by[live.name].delivered == 1
+
     def test_no_sinks_no_events(self):
         report = dispatch([], [])
         assert report.sinks == ()
@@ -542,3 +580,212 @@ class TestSerialization:
             obstacles_from_json('{"id": 1}')
         with pytest.raises(ValueError, match="not valid JSON"):
             obstacles_from_json("[")
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the dense trellis and the per-step searchsorted sampler
+# that the predecessor-table smoother and the bisect sampler replaced; both
+# must agree exactly, ties and clamped draws included
+
+def _dense_log_em(tr, g, emission_sigma):
+    obs, pos = tr.positions(), g.positions()
+    with np.errstate(over="ignore"):
+        return -((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2) / (
+            2.0 * emission_sigma * emission_sigma)
+
+
+def _dense_smooth(tr, g, P, emission_sigma):
+    """Max-product decode over the full n x n log-transition matrix."""
+    m, n = len(tr), g.n
+    log_em = _dense_log_em(tr, g, emission_sigma)
+    with np.errstate(divide="ignore"):
+        log_P = np.log(P.entries)
+    delta = log_em[0].copy()
+    back = np.zeros((m, n), dtype=int)
+    if np.max(delta) == -np.inf:
+        raise TrellisError("no state has positive probability at fix 0")
+    for k in range(1, m):
+        cand = delta[:, None] + log_P
+        back[k] = np.argmax(cand, axis=0)
+        delta = cand[back[k], np.arange(n)] + log_em[k]
+        if np.max(delta) == -np.inf:
+            raise TrellisError(f"no positive-probability path survives to fix {k}")
+    seq = [int(np.argmax(delta))]
+    for k in range(m - 1, 0, -1):
+        seq.append(int(back[k][seq[-1]]))
+    seq.reverse()
+    return seq
+
+
+def _dense_log_score(seq, tr, g, P, emission_sigma):
+    log_em = _dense_log_em(tr, g, emission_sigma)
+    with np.errstate(divide="ignore"):
+        log_P = np.log(P.entries)
+    score = float(log_em[0, seq[0]])
+    for k in range(1, len(seq)):
+        score += float(log_P[seq[k - 1], seq[k]]) + float(log_em[k, seq[k]])
+    return score
+
+
+def _searchsorted_sample_path(P, start, n_steps, seed):
+    u = np.random.default_rng(seed).random(n_steps)
+    cum = np.cumsum(P.entries, axis=1)
+    path = np.empty(n_steps + 1, dtype=int)
+    path[0] = state = start
+    for k in range(n_steps):
+        state = int(np.searchsorted(cum[state], u[k], side="right"))
+        if state >= P.n:
+            state = P.n - 1
+        path[k + 1] = state
+    return path
+
+
+def _loop_simulate_walk(g, P, profile, start, n_steps, seed):
+    path = _searchsorted_sample_path(P, start, n_steps, seed).tolist()
+    pos = g.positions()
+    fixes = [Fix(t=0.0, position=g.vertices[start].position, truth_state=start)]
+    t = 0.0
+    for state, nxt in zip(path, path[1:]):
+        if nxt == state:
+            t += profile.step_period
+        else:
+            t += float(np.hypot(*(pos[nxt] - pos[state]))) / profile.speed
+        fixes.append(Fix(t=t, position=g.vertices[nxt].position, truth_state=nxt))
+    return Trace(fixes=tuple(fixes), profile_name=profile.name)
+
+
+def _points_graph(n: int) -> PathGraph:
+    """n vertices laid out like connected_graphs, without edges."""
+    return PathGraph(vertices=tuple(Vertex(k, LocalPoint(float(k % 5), float(k // 5)))
+                                    for k in range(n)), edges=())
+
+
+@st.composite
+def _traces_near(draw, g: PathGraph, max_m: int = 8) -> Trace:
+    """Fixes scattered over the graph's bounding box, some exactly on vertices."""
+    m = draw(st.integers(1, max_m))
+    pos = g.positions()
+    lo, hi = pos.min(axis=0) - 1.0, pos.max(axis=0) + 1.0
+    fixes = []
+    for k in range(m):
+        if draw(st.booleans()):
+            x, y = pos[draw(st.integers(0, g.n - 1))]
+        else:
+            x = draw(st.floats(lo[0], hi[0]))
+            y = draw(st.floats(lo[1], hi[1]))
+        fixes.append(Fix(t=float(k), position=LocalPoint(x, y)))
+    return Trace(fixes=tuple(fixes))
+
+
+@st.composite
+def _chains_with_zero_columns(draw, max_n: int = 7) -> StochasticMatrix:
+    """Dense random chain in which some states have no predecessor at all."""
+    n = draw(st.integers(2, max_n))
+    live = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    rows = []
+    for _ in range(n):
+        w = np.zeros(n)
+        w[live] = draw(st.lists(st.integers(0, 10), min_size=len(live), max_size=len(live))
+                       .filter(lambda ws: sum(ws) > 0))
+        rows.append(w / w.sum())
+    return StochasticMatrix(np.vstack(rows))
+
+
+@st.composite
+def _chains_with_short_row(draw, max_n: int = 6) -> StochasticMatrix:
+    """Chain whose first row sums to well below 1, so some draws pass its total."""
+    n = draw(st.integers(2, max_n))
+    rows = []
+    for i in range(n):
+        w = np.array(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)
+                          .filter(lambda ws: sum(ws) > 0)), dtype=float)
+        rows.append(w / w.sum() * (0.6 if i == 0 else 1.0))
+    return StochasticMatrix(np.vstack(rows), row_sum_tol=0.5)
+
+
+_SIGMAS = st.sampled_from([0.3, 1.0, 2.5])
+
+
+class TestReferenceOracles:
+    @given(st.data(), connected_graphs(max_n=9), _SIGMAS)
+    @settings(max_examples=150)
+    def test_smooth_matches_dense_trellis_on_walk_graphs(self, data, g, sigma):
+        P = random_walk_matrix(g)
+        tr = data.draw(_traces_near(g))
+        seq = smooth(tr, g, P, sigma)
+        assert seq == _dense_smooth(tr, g, P, sigma)
+        assert (sequence_log_score(seq, tr, g, P, sigma)
+                == _dense_log_score(seq, tr, g, P, sigma))
+
+    @given(st.data(), connected_graphs(max_n=9), _SIGMAS)
+    @settings(max_examples=100)
+    def test_smooth_matches_dense_trellis_on_held_chains(self, data, g, sigma):
+        blocked = data.draw(st.sets(st.integers(0, g.n - 1)))
+        P = hold_on_obstacle(random_walk_matrix(g), blocked)
+        tr = data.draw(_traces_near(g))
+        assert smooth(tr, g, P, sigma) == _dense_smooth(tr, g, P, sigma)
+
+    @given(st.data(), _chains_with_zero_columns(), _SIGMAS)
+    @settings(max_examples=100)
+    def test_smooth_matches_dense_trellis_on_dense_chains(self, data, P, sigma):
+        g = _points_graph(P.n)
+        tr = data.draw(_traces_near(g))
+        seq = smooth(tr, g, P, sigma)
+        assert seq == _dense_smooth(tr, g, P, sigma)
+        # the all-zero sequence may step through a zero-probability transition
+        for cand in (seq, [0] * len(tr)):
+            assert (sequence_log_score(cand, tr, g, P, sigma)
+                    == _dense_log_score(cand, tr, g, P, sigma))
+
+    @given(st.data(), st.integers(2, 4), st.integers(2, 4), st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=100)
+    def test_smooth_matches_dense_trellis_on_ties(self, data, rows, cols, sigma):
+        # a fix at an edge midpoint scores both endpoints equally, and the
+        # grid's symmetry repeats equal transition scores
+        g = grid_graph(rows, cols, 1.0)
+        P = random_walk_matrix(g)
+        pos = g.positions()
+        picks = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=10))
+        tr = Trace(fixes=tuple(
+            Fix(t=float(k), position=LocalPoint(*((pos[a] + pos[b]) / 2.0)))
+            for k, (a, b) in enumerate(picks)))
+        assert smooth(tr, g, P, sigma) == _dense_smooth(tr, g, P, sigma)
+
+    @given(st.one_of(connected_graphs(max_n=9).map(random_walk_matrix),
+                     _chains_with_zero_columns(), _chains_with_short_row()),
+           st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_sample_path_matches_searchsorted(self, P, data, seed):
+        start = data.draw(st.integers(0, P.n - 1))
+        got, want = sample_path(P, start, 60, seed), _searchsorted_sample_path(P, start, 60, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_draw_past_a_short_row_goes_to_the_last_state(self):
+        P = StochasticMatrix(np.array([[0.3, 0.3, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
+                             row_sum_tol=0.5)
+        moves = set()
+        for seed in range(20):
+            path = sample_path(P, 0, 40, seed)
+            assert np.array_equal(path, _searchsorted_sample_path(P, 0, 40, seed))
+            moves.update(zip(path[:-1].tolist(), path[1:].tolist()))
+        # 40 % of draws from state 0 land past its 0.6 total, on state 2
+        assert (0, 2) in moves
+
+    @given(st.data(), connected_graphs(max_n=9), st.sampled_from([NORMAL, BLIND]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_simulate_walk_csv_matches_per_step_loop(self, data, g, profile, seed):
+        blocked = data.draw(st.sets(st.integers(0, g.n - 1)))
+        P = hold_on_obstacle(random_walk_matrix(g), blocked)
+        start = data.draw(st.integers(0, g.n - 1))
+        n_steps = data.draw(st.integers(0, 80))
+        assert (trace_to_csv(simulate_walk(g, P, profile, start, n_steps, seed))
+                == trace_to_csv(_loop_simulate_walk(g, P, profile, start, n_steps, seed)))
+
+    @given(_chains_with_short_row(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_simulate_walk_csv_matches_per_step_loop_on_short_rows(self, P, seed):
+        g = _points_graph(P.n)
+        assert (trace_to_csv(simulate_walk(g, P, BLIND, 0, 50, seed))
+                == trace_to_csv(_loop_simulate_walk(g, P, BLIND, 0, 50, seed)))
