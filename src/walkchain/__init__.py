@@ -32,10 +32,12 @@ from .chains import (
 )
 from .ctmc import (
     GeneratorMatrix,
+    PoissonWindowError,
     UniformizedChain,
     generator,
     poisson_pmf,
     poisson_truncation,
+    poisson_window,
     sample_arrivals,
     sojourn_mean,
     transient,

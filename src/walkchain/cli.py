@@ -134,7 +134,10 @@ def cmd_transient(args: argparse.Namespace) -> int:
     chain = ctmc.UniformizedChain(jump_chain=P, rate=args.rate)
     out = Path(args.out_dir)
     _write(out / "generator.csv", chains.array_to_csv(ctmc.generator(chain).entries))
-    Pt = ctmc.transient(chain, args.time, tol=args.tolerance)
+    try:
+        Pt = ctmc.transient(chain, args.time, tol=args.tolerance)
+    except ctmc.PoissonWindowError as exc:
+        raise ValueError(f"--tolerance {args.tolerance!r} cannot be met: {exc}") from exc
     _write(out / "transient.csv", chains.matrix_to_csv(Pt))
     return 0
 
@@ -170,7 +173,8 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     # before any artifact is written: this validates the trace's truth vertices
     errors = ["method,mean_error_m"]
-    if trace.has_truth():
+    has_truth = trace.has_truth()
+    if has_truth:
         errors.append(f"snap,{pipeline.localization_error(snapped, trace, g)!r}")
         errors.append(f"smooth,{pipeline.localization_error(smoothed, trace, g)!r}")
     errors.append(f"reference_prototype,{pipeline.REFERENCE_FIELD_ERROR_M!r}")
@@ -207,11 +211,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     report = pipeline.dispatch(events, sinks)
     print(f"wrote {log_path}")
 
-    lines = ["t_s,snap_vertex,smooth_vertex,x_m,y_m" + (",truth_vertex" if trace.has_truth() else "")]
+    lines = ["t_s,snap_vertex,smooth_vertex,x_m,y_m" + (",truth_vertex" if has_truth else "")]
     for k, fix in enumerate(trace.fixes):
         v = smoothed[k]
         row = f"{fix.t!r},{snapped[k]},{v},{float(pos[v, 0])!r},{float(pos[v, 1])!r}"
-        if trace.has_truth():
+        if has_truth:
             row += f",{fix.truth_state}"
         lines.append(row)
     _write(out / "path.csv", "\n".join(lines) + "\n")

@@ -170,18 +170,30 @@ def snap(tr: Trace, g: PathGraph) -> list[int]:
     """Memoryless decode: nearest vertex per fix, ties to the lowest id."""
     if g.n == 0:
         raise ValueError("graph has no vertices to snap to")
+    return [int(k) for k in np.argmin(_squared_distances(tr, g), axis=1)]
+
+
+def _squared_distances(tr: Trace, g: PathGraph) -> np.ndarray:
+    """(m, n) squared distances from each fix to each vertex, with two m x n arrays at most.
+
+    dx*dx + dy*dy has the bits of summing the (m, n, 2) squared differences
+    over their last axis: a sum of two terms is one addition.
+    """
     pos = g.positions()
     obs = tr.positions()
-    d2 = ((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-    return [int(k) for k in np.argmin(d2, axis=1)]
+    d2 = np.subtract.outer(obs[:, 0], pos[:, 0])
+    d2 *= d2
+    dy = np.subtract.outer(obs[:, 1], pos[:, 1])
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def _log_emissions(tr: Trace, g: PathGraph, sigma: float) -> np.ndarray:
-    pos = g.positions()
-    obs = tr.positions()
     with np.errstate(over="ignore"):  # absurd fixes overflow to -inf and get caught
-        d2 = ((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-        return -d2 / (2.0 * sigma * sigma)
+        d2 = _squared_distances(tr, g)
+        d2 /= -(2.0 * sigma * sigma)  # the bits of -d2 / (2 sigma^2): division is sign-symmetric
+        return d2
 
 
 def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float = 1.0) -> list[int]:

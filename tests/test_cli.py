@@ -9,7 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walkchain import array_from_csv, trace_from_csv
+from walkchain import (
+    BLIND,
+    Trace,
+    add_noise,
+    array_from_csv,
+    load_map,
+    random_walk_matrix,
+    simulate_walk,
+    smooth,
+    snap,
+    trace_from_csv,
+)
 from walkchain.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -53,6 +64,21 @@ def distances_file(tmp_path) -> str:
     path = tmp_path / "distances.txt"
     path.write_text("5.8\n59.16\n", encoding="utf-8")
     return str(path)
+
+
+def _path_csv(map_path: str, steps: int, noise_sigma: float) -> str:
+    """path.csv of ``track`` on a simulated trace, written row by row from the library."""
+    g = load_map(Path(map_path).read_text())
+    P = random_walk_matrix(g)
+    trace = add_noise(simulate_walk(g, P, BLIND, start=0, n_steps=steps, seed=42),
+                      noise_sigma, seed=43)
+    snapped, smoothed, pos = snap(trace, g), smooth(trace, g, P), g.positions()
+    lines = ["t_s,snap_vertex,smooth_vertex,x_m,y_m,truth_vertex"]
+    for k, fix in enumerate(trace.fixes):
+        v = smoothed[k]
+        lines.append(f"{fix.t!r},{snapped[k]},{v},{float(pos[v, 0])!r},{float(pos[v, 1])!r},"
+                     f"{fix.truth_state}")
+    return "\n".join(lines) + "\n"
 
 
 def read_kv(path: Path) -> dict:
@@ -154,6 +180,28 @@ class TestTransient:
                    "--tolerance", "1e-20", "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "tolerance" in capsys.readouterr().err
+
+    def test_smallest_tolerance_at_long_horizon(self, tmp_path):
+        # rate * time = 1000 at the smallest documented tolerance
+        out = tmp_path / "out"
+        rc = main(["transient", "--map", DEMO_MAP, "--rate", "1", "--time", "1000",
+                   "--tolerance", "1e-13", "--out-dir", str(out)])
+        assert rc == 0
+        sums = array_from_csv((out / "transient.csv").read_text()).sum(axis=1)
+        assert np.all(sums >= 1.0 - 1e-13) and np.all(sums <= 1.0)
+
+    def test_window_too_wide_names_tolerance(self, tmp_path, line_map, capsys):
+        rc = main(["transient", "--map", line_map, "--rate", "1", "--time", "1e12",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and "Traceback" not in err
+
+    def test_overflowing_rate_times_time_exits_1(self, tmp_path, line_map, capsys):
+        rc = main(["transient", "--map", line_map, "--rate", "1e200", "--time", "1e200",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -265,6 +313,39 @@ class TestTrack:
                    "--out-dir", str(track_out)])
         assert rc == 0
         assert len((track_out / "path.csv").read_text().splitlines()) == 17
+
+    def test_truth_scanned_a_fixed_number_of_times(self, tmp_path, monkeypatch):
+        calls = []
+        has_truth = Trace.has_truth
+
+        def counted(self):
+            calls.append(len(self))
+            return has_truth(self)
+
+        monkeypatch.setattr(Trace, "has_truth", counted)
+        for steps in (10, 400):
+            calls.clear()
+            out = tmp_path / str(steps)
+            assert main(["track", "--map", DEMO_MAP, "--steps", str(steps), "--noise-sigma", "1.0",
+                         "--out-dir", str(out)]) == 0
+            # once in track and once per localization_error, not once per fix
+            assert len(calls) <= 3
+            assert (out / "path.csv").read_text() == _path_csv(DEMO_MAP, steps, 1.0)
+
+    def test_path_csv_without_truth(self, tmp_path):
+        sim, out = tmp_path / "sim", tmp_path / "out"
+        main(["simulate", "--map", DEMO_MAP, "--steps", "30", "--noise-sigma", "1.0",
+              "--out-dir", str(sim)])
+        lines = (sim / "trace.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        keep = [i for i, name in enumerate(header) if name != "truth_vertex"]
+        (sim / "bare.csv").write_text(
+            "\n".join(",".join(ln.split(",")[i] for i in keep) for ln in lines) + "\n")
+        assert main(["track", "--map", DEMO_MAP, "--trace", str(sim / "bare.csv"),
+                     "--out-dir", str(out)]) == 0
+        path_lines = (out / "path.csv").read_text().splitlines()
+        assert path_lines[0] == "t_s,snap_vertex,smooth_vertex,x_m,y_m"
+        assert len(path_lines) == 32 and all(ln.count(",") == 4 for ln in path_lines)
 
     def test_dead_webhook_recorded_in_delivery(self, tmp_path, line_map):
         out = tmp_path / "out"

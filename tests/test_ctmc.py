@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from walkchain import (
     GeneratorMatrix,
+    PoissonWindowError,
     StochasticMatrix,
     UniformizedChain,
     generator,
+    grid_graph,
     poisson_pmf,
     poisson_truncation,
+    poisson_window,
+    random_walk_matrix,
     sample_arrivals,
     sojourn_mean,
     stationary_distribution,
     transient,
 )
-from conftest import stochastic_matrices
+from walkchain import ctmc
+from conftest import connected_graphs, stochastic_matrices
 
 FLIP = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -91,6 +96,18 @@ class TestPoisson:
         with pytest.raises(ValueError):
             poisson_truncation(1.0, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("mu, n, exact", [
+        # exp(-mu) mu^n / n! to 20 digits (40-digit arithmetic)
+        (37.5, 30, 0.032451508190749541621),
+        (1e3, 1000, 0.012614611348721499718),
+        (1e4, 9700, 4.2988621015262158490e-5),
+        (1e5, 100000, 0.0012615652097053005629),
+        (1e5, 101000, 8.5996123940893100278e-6),
+    ])
+    def test_pmf_accurate_at_large_counts(self, mu, n, exact):
+        # the plain log-space form is off by 1e-11 relative at n = 1e5
+        assert poisson_pmf(1.0, mu, n) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
 
 class TestTransient:
     def test_time_zero_is_identity(self):
@@ -154,6 +171,147 @@ class TestTransient:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             transient(UniformizedChain(FLIP, rate=1.0), -0.5)
+
+
+def _full_sum_transient(P: np.ndarray, rate: float, t: float, tol: float) -> np.ndarray:
+    """The series summed from n = 0 to the first N holding mass 1 - tol (the former method).
+
+    Where the plain log-space pmf loses too many digits to reach 1 - tol, the
+    former method raised at its cap; here the sum runs on to the cap instead.
+    """
+    mu = rate * t
+
+    def pmf(n):
+        return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
+
+    mass, N = pmf(0), 0
+    cap = int(mu + 50.0 * math.sqrt(mu + 4.0)) + 64
+    while mass < 1.0 - tol and N < cap:
+        N += 1
+        mass += pmf(N)
+    acc = np.zeros(P.shape)
+    term = np.eye(P.shape[0])
+    for n in range(N + 1):
+        if n > 0:
+            term = term @ P
+        acc += pmf(n) * term
+    return acc
+
+
+def _closed_form(g, mu: float) -> np.ndarray:
+    """exp(mu (P - I)) for the random walk on g, from its symmetrized spectrum."""
+    deg = np.array(g.degrees(), dtype=float)
+    d = np.sqrt(deg)
+    A = np.zeros((g.n, g.n))
+    for a, b in g.edges:
+        A[a, b] = A[b, a] = 1.0
+    lam, V = np.linalg.eigh(A / np.outer(d, d))
+    return (1.0 / d)[:, None] * ((V * np.exp(mu * (lam - 1.0))) @ V.T) * d[None, :]
+
+
+_TOLS = st.sampled_from([1e-13, 1e-9, 1e-6])
+_MUS = (0.3, 1.0, 37.5, 1e3, 1e4, 1e5)
+
+
+class TestPoissonWindow:
+    @given(st.floats(0.0, 2e4), _TOLS)
+    @settings(max_examples=100)
+    def test_window_is_narrowest_with_certified_mass(self, mu, tol):
+        left, w = poisson_window(1.0, mu, tol)
+        assert left >= 0 and min(w) > 0.0
+        target = 1.0 - tol / 2.0
+        assert math.fsum(w) >= target
+        # the terms come in from the mode by size, so the smaller end term was
+        # the last one taken, and without it the window falls short
+        if len(w) > 1:
+            assert math.fsum(w[1:] if w[0] <= w[-1] else w[:-1]) < target
+        assert left <= math.floor(mu) < left + len(w)
+
+    @given(st.floats(0.01, 2e4), _TOLS)
+    @settings(max_examples=50)
+    def test_weights_match_pmf(self, mu, tol):
+        left, w = poisson_window(1.0, mu, tol)
+        for k in range(0, len(w), max(1, len(w) // 20)):
+            assert w[k] == pytest.approx(poisson_pmf(1.0, mu, left + k), rel=1e-12, abs=0.0)
+
+    def test_zero_time_is_the_zero_count(self):
+        assert poisson_window(2.0, 0.0, 1e-13) == (0, [1.0])
+
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            poisson_window(1e200, 1e200, 1e-9)
+        with pytest.raises(ValueError, match="not finite"):
+            poisson_pmf(1e200, 1e200, 5)
+
+    def test_oversized_window_raises_at_once(self, monkeypatch):
+        monkeypatch.setattr(ctmc, "MAX_WINDOW_TERMS", 50)  # the mode term is ~0.004
+        with pytest.raises(PoissonWindowError, match="more than 50 terms"):
+            poisson_window(1.0, 1e4, 1e-9)
+        with pytest.raises(PoissonWindowError):
+            poisson_window(1.0, 1e300, 1e-6)  # ~1e150 terms: refused before the search
+
+    def test_window_cap_ends_the_search(self, monkeypatch):
+        monkeypatch.setattr(ctmc, "MAX_WINDOW_TERMS", 300)  # passes the mode check, needs ~1,250
+        with pytest.raises(PoissonWindowError, match="more than 300 terms"):
+            poisson_window(1.0, 1e4, 1e-9)
+
+
+class TestWindowedTransient:
+    @given(stochastic_matrices(max_n=5), st.floats(0.1, 5.0), st.floats(0.0, 60.0), _TOLS)
+    @settings(max_examples=60)
+    def test_matches_full_sum(self, P, rate, t, tol):
+        got = transient(UniformizedChain(P, rate), t, tol=tol).entries
+        if rate * t == 0.0:
+            assert np.array_equal(got, np.eye(P.n))
+            return
+        want = _full_sum_transient(P.entries, rate, t, tol)
+        assert np.abs(got - want).max() <= tol
+        sums = got.sum(axis=1)
+        assert np.all(sums >= 1.0 - tol) and np.all(sums <= 1.0)
+
+    @given(connected_graphs(max_n=8), st.floats(0.0, 4.0), _TOLS)
+    @settings(max_examples=60)
+    def test_matches_closed_form_on_walk_graphs(self, g, log_mu, tol):
+        mu = 10.0 ** log_mu
+        got = transient(UniformizedChain(random_walk_matrix(g), 1.0), mu, tol=tol).entries
+        assert np.abs(got - _closed_form(g, mu)).max() <= tol + 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9, 1e-6])
+    @pytest.mark.parametrize("mu", _MUS)
+    def test_rows_within_deficit_across_scales(self, mu, tol):
+        g = grid_graph(3, 4, 1.0)
+        got = transient(UniformizedChain(random_walk_matrix(g), 2.0), mu / 2.0, tol=tol).entries
+        sums = got.sum(axis=1)
+        assert np.all(sums >= 1.0 - tol) and np.all(sums <= 1.0)
+        assert np.abs(got - _closed_form(g, mu)).max() <= tol + 1e-12
+
+    @pytest.mark.parametrize("mu", [1e3, 1e4, 1e5])
+    def test_work_grows_with_sqrt_mu(self, mu, monkeypatch):
+        windows, powers, pmf_calls = [], [], []
+        window, power, pmf = ctmc.poisson_window, np.linalg.matrix_power, ctmc.poisson_pmf
+
+        def record_window(*args):
+            windows.append(window(*args))
+            return windows[-1]
+
+        def record_power(M, k):
+            powers.append(k)
+            return power(M, k)
+
+        def count_pmf(*args):
+            pmf_calls.append(args)
+            return pmf(*args)
+
+        monkeypatch.setattr(ctmc, "poisson_window", record_window)
+        monkeypatch.setattr(np.linalg, "matrix_power", record_power)
+        monkeypatch.setattr(ctmc, "poisson_pmf", count_pmf)
+        transient(UniformizedChain(random_walk_matrix(grid_graph(2, 3, 1.0)), 1.0), mu, tol=1e-13)
+        (left, w), = windows
+        assert powers == [left]  # P**L by squaring: at most 2 log2(L) products
+        assert len(pmf_calls) == 1  # one pmf evaluation; the rest by ratios
+        # the full sum took about mu + 8 sqrt(mu) products: 101,896 at mu = 1e5
+        products = 2 * left.bit_length() + len(w) - 1
+        assert products <= 20 * math.sqrt(mu) + 2 * math.log2(mu) + 40
 
 
 class TestClock:

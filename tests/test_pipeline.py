@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkchain import pipeline
 from walkchain import (
     BLIND,
     NORMAL,
@@ -505,6 +506,7 @@ class TestDispatch:
         finally:
             server.shutdown()
             thread.join()
+            server.server_close()
 
     def test_webhook_refused_connection_counts_as_failure(self):
         probe = socket.socket()
@@ -704,6 +706,43 @@ def _chains_with_short_row(draw, max_n: int = 6) -> StochasticMatrix:
 
 
 _SIGMAS = st.sampled_from([0.3, 1.0, 2.5])
+
+
+_COORDS = st.floats(-1e160, 1e160, allow_nan=False)  # squares overflow for the largest
+
+
+class TestDistances:
+    @given(st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6),
+           st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6), _SIGMAS)
+    @settings(max_examples=200)
+    def test_bits_match_the_stacked_difference_sum(self, fixes, points, sigma):
+        tr = Trace(fixes=tuple(Fix(t=float(k), position=LocalPoint(x, y))
+                               for k, (x, y) in enumerate(fixes)))
+        g = PathGraph(vertices=tuple(Vertex(k, LocalPoint(x, y)) for k, (x, y) in enumerate(points)),
+                      edges=())
+        obs, pos = tr.positions(), g.positions()
+        with np.errstate(over="ignore"):
+            d2 = ((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+            assert pipeline._squared_distances(tr, g).tobytes() == d2.tobytes()
+            assert snap(tr, g) == [int(k) for k in np.argmin(d2, axis=1)]
+        assert (pipeline._log_emissions(tr, g, sigma).tobytes()
+                == _dense_log_em(tr, g, sigma).tobytes())
+
+    def test_no_stacked_coordinate_array(self):
+        # the (m, n, 2) difference and its square took three m x n arrays at once
+        g = grid_graph(20, 20, 1.0)
+        rng = np.random.default_rng(5)
+        tr = Trace(fixes=tuple(Fix(t=float(k), position=LocalPoint(*rng.uniform(0.0, 19.0, 2)))
+                               for k in range(1500)))
+        result = len(tr) * g.n * 8
+        for decode in (lambda: snap(tr, g), lambda: pipeline._log_emissions(tr, g, 1.0)):
+            tracemalloc.start()
+            try:
+                decode()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.2 * result
 
 
 class TestReferenceOracles:
