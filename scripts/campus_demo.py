@@ -52,8 +52,8 @@ def main():
 
     obstacles = obstacles_from_json((DATA / "obstacles.json").read_text())
     events = []
-    for fix, v in zip(noisy.fixes, est_smooth):
-        events.extend(detect(g.vertices[v].position, fix.t, obstacles, BLIND,
+    for t, v in zip(noisy.t.tolist(), est_smooth):
+        events.extend(detect(g.vertices[v].position, t, obstacles, BLIND,
                              safer_distance=args.safer_distance))
     print(f"{len(events)} alert(s) along the smoothed path:")
     for ev in events:

@@ -60,11 +60,11 @@ from .mapgraph import (
 from .pipeline import (
     ALERT_KINDS,
     DEFAULT_SAFER_DISTANCE_M,
+    NO_TRUTH,
     REFERENCE_FIELD_ERROR_M,
     AlertEvent,
     DeliveryReport,
     FileSink,
-    Fix,
     Obstacle,
     SinkReport,
     Trace,

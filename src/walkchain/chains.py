@@ -465,10 +465,40 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
 # ---------------------------------------------------------------------------
 # plain-CSV serialization (row per state, full-precision decimals)
 
+#: weight of a block of rows: an entry weighs 1 and a nonzero entry, whose
+#: repr and float outweigh a "0.0," several times over, 16 more
+_CSV_BLOCK = 1 << 14
+
+
 def array_to_csv(arr: np.ndarray) -> str:
+    """One line per row, each entry as its ``repr`` joined by commas.
+
+    Only entries other than +0.0 go through ``repr``; every run of +0.0
+    entries between them, across row ends too, is one slice of a repeated
+    ``"0.0,...,0.0\\n"`` row, whose entries are all four characters wide.
+    Rows are taken in blocks of weight about ``_CSV_BLOCK``, so the Python
+    strings alive at once stay few on dense and sparse arrays alike.
+    """
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    lines = [",".join(repr(float(x)) for x in row) for row in arr]
-    return "\n".join(lines) + "\n"
+    m, n = arr.shape
+    if arr.size == 0:
+        return "\n" * max(m, 1)
+    group = np.cumsum(n + 16 * np.count_nonzero(arr, axis=1)) // _CSV_BLOCK
+    edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), m]
+    zeros = ("0.0," * (n - 1) + "0.0\n") * min(_CSV_BLOCK // n + 1, m)  # rows of any block
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        block = arr[lo:hi].ravel()
+        kept = np.flatnonzero((block != 0) | np.signbit(block))  # -0.0 prints as -0.0
+        # entry j of the block is zeros[4j:4j + 4]: a kept entry takes its
+        # first three characters, and its separator stays with the next run
+        cut = 4 * kept
+        pieces = [""] * (2 * kept.size + 1)
+        pieces[::2] = [zeros[a:b] for a, b in zip([0] + (cut + 3).tolist(),
+                                                  cut.tolist() + [4 * block.size])]
+        pieces[1::2] = map(repr, block[kept].tolist())
+        blocks.append("".join(pieces))
+    return "".join(blocks)
 
 
 def array_from_csv(text: str) -> np.ndarray:

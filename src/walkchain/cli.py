@@ -182,23 +182,22 @@ def cmd_track(args: argparse.Namespace) -> int:
     obstacles = pipeline.obstacles_from_json(_read(args.obstacles)) if args.obstacles else []
 
     pos = g.positions()
+    times = trace.t.tolist()
     events: list[pipeline.AlertEvent] = []
     blocked: set[int] = set()
-    for k, fix in enumerate(trace.fixes):
-        v = smoothed[k]
+    for t, v in zip(times, smoothed):
         here = mapgraph.LocalPoint(float(pos[v, 0]), float(pos[v, 1]))
-        warnings = pipeline.detect(here, fix.t, obstacles, profile,
+        warnings = pipeline.detect(here, t, obstacles, profile,
                                    safer_distance=args.safer_distance)
         if warnings:
             events.extend(warnings)
             events.append(pipeline.AlertEvent(
-                t=fix.t, kind="hold_position", distance=warnings[0].distance,
+                t=t, kind="hold_position", distance=warnings[0].distance,
                 message=f"holding at vertex {v}; obstacle within {args.safer_distance:g} m",
             ))
             blocked.add(v)
-    last = trace.fixes[-1]
     events.append(pipeline.AlertEvent(
-        t=last.t, kind="destination_reached", distance=0.0,
+        t=times[-1], kind="destination_reached", distance=0.0,
         message=f"destination vertex {smoothed[-1]} reached",
     ))
 
@@ -211,14 +210,12 @@ def cmd_track(args: argparse.Namespace) -> int:
     report = pipeline.dispatch(events, sinks)
     print(f"wrote {log_path}")
 
-    lines = ["t_s,snap_vertex,smooth_vertex,x_m,y_m" + (",truth_vertex" if has_truth else "")]
-    for k, fix in enumerate(trace.fixes):
-        v = smoothed[k]
-        row = f"{fix.t!r},{snapped[k]},{v},{float(pos[v, 0])!r},{float(pos[v, 1])!r}"
-        if has_truth:
-            row += f",{fix.truth_state}"
-        lines.append(row)
-    _write(out / "path.csv", "\n".join(lines) + "\n")
+    cols = [times, snapped, smoothed, pos[smoothed, 0].tolist(), pos[smoothed, 1].tolist()]
+    header, row = "t_s,snap_vertex,smooth_vertex,x_m,y_m", "%r,%d,%d,%r,%r"
+    if has_truth:
+        cols.append(trace.truth.tolist())
+        header, row = header + ",truth_vertex", row + ",%d"
+    _write(out / "path.csv", "\n".join([header, *map(row.__mod__, zip(*cols))]) + "\n")
 
     _write(out / "summary.csv", "\n".join(errors) + "\n")
 

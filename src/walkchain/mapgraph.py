@@ -79,6 +79,7 @@ class PathGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
     _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = [v.id for v in self.vertices]
@@ -107,6 +108,10 @@ class PathGraph:
         object.__setattr__(self, "edges", tuple(canonical))
         # canonical is sorted, so every neighbour list comes out in ascending id
         object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacency)))
+        pos = np.array([[v.position.x, v.position.y] for v in self.vertices],
+                       dtype=float).reshape(n, 2)
+        pos.flags.writeable = False
+        object.__setattr__(self, "_positions", pos)
 
     @property
     def n(self) -> int:
@@ -125,8 +130,8 @@ class PathGraph:
         return self._adjacency[i]
 
     def positions(self) -> np.ndarray:
-        """Vertex positions as an (n, 2) float array in id order."""
-        return np.array([[v.position.x, v.position.y] for v in self.vertices], dtype=float)
+        """Vertex positions as a read-only (n, 2) float array in id order."""
+        return self._positions
 
 
 def project(p: GeoPoint, origin: GeoPoint) -> LocalPoint:
@@ -159,7 +164,10 @@ def _get_number(obj: dict, field_name: str, key: str) -> float:
     _require(key in obj, f"{field_name}.{key}", "missing")
     val = obj[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"{field_name}.{key}", f"expected a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:  # an integer beyond the float range
+        raise MapSchemaError(f"{field_name}.{key}: number out of range, got {val!r}") from None
 
 
 def load_map(document: str) -> PathGraph:
@@ -177,7 +185,7 @@ def load_map(document: str) -> PathGraph:
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise MapSchemaError(f"document: not valid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")
     _require("vertices" in doc, "vertices", "missing")

@@ -36,43 +36,81 @@ class TrellisError(ValueError):
     """Smoothing found no positive-probability state sequence."""
 
 
-@dataclass(frozen=True)
-class Fix:
-    """One timestamped position observation; truth_state is the generating vertex."""
-
-    t: float
-    position: LocalPoint
-    truth_state: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", float(self.t))
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"fix time must be finite and >= 0, got {self.t!r}")
+#: truth column entry of a fix whose generating vertex is unknown; the trace
+#: parser rejects this value, so it never stands for a vertex id, valid or not
+NO_TRUTH = np.iinfo(np.int64).min
 
 
-@dataclass(frozen=True)
+def _first_bad_fix(t: np.ndarray, xy: np.ndarray) -> tuple[int, str, str] | None:
+    """(index, column, message) of the first fix that breaks a trace invariant, or None.
+
+    A fix needs finite coordinates and a finite time >= 0; times must
+    strictly increase. Per-fix faults come before ordering faults.
+    """
+    bad = np.flatnonzero(~(np.isfinite(xy).all(axis=1) & np.isfinite(t) & (t >= 0)))
+    if bad.size:
+        k = int(bad[0])
+        x, y = xy[k].tolist()
+        for column, value in (("x_m", x), ("y_m", y)):
+            if not math.isfinite(value):
+                return k, column, f"local coordinates must be finite, got ({x!r}, {y!r})"
+        return k, "t_s", f"fix time must be finite and >= 0, got {float(t[k])!r}"
+    back = np.flatnonzero(t[1:] <= t[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        return k, "t_s", (f"fix timestamps must strictly increase, "
+                          f"got {float(t[k - 1])!r} then {float(t[k])!r}")
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Time-ordered sequence of fixes from one walk."""
+    """Time-ordered fixes from one walk, held as read-only columns.
 
-    fixes: tuple[Fix, ...]
+    ``t`` is the (m,) array of fix times, ``xy`` the (m, 2) array of fix
+    positions and ``truth`` the (m,) int64 array of generating vertices,
+    ``NO_TRUTH`` where a fix carries none (``truth=None`` means none does).
+    The columns are copied and validated once, at construction.
+    """
+
+    t: np.ndarray
+    xy: np.ndarray
+    truth: np.ndarray | None = None
     profile_name: str = ""
 
     def __post_init__(self) -> None:
-        if not self.fixes:
+        t = np.array(self.t, dtype=float)
+        xy = np.array(self.xy, dtype=float)
+        if t.ndim != 1:
+            raise ValueError(f"t must be a 1-D array of fix times, got shape {t.shape}")
+        if t.size == 0:
             raise ValueError("trace must contain at least one fix")
-        ts = [f.t for f in self.fixes]
-        for a, b in zip(ts, ts[1:]):
-            if b <= a:
-                raise ValueError(f"fix timestamps must strictly increase, got {a!r} then {b!r}")
+        m = t.size
+        if xy.shape != (m, 2):
+            raise ValueError(f"xy must have shape ({m}, 2) for {m} fix times, got {xy.shape}")
+        if self.truth is None:
+            truth = np.full(m, NO_TRUTH)
+        else:
+            truth = np.array(self.truth)
+            if truth.shape != (m,) or not np.issubdtype(truth.dtype, np.integer):
+                raise ValueError(f"truth must be {m} integer vertex ids, got {truth.dtype} "
+                                 f"of shape {truth.shape}")
+            truth = truth.astype(np.int64)
+        fault = _first_bad_fix(t, xy)
+        if fault is not None:
+            raise ValueError(fault[2])
+        for name, col in (("t", t), ("xy", xy), ("truth", truth)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.fixes)
+        return self.t.size
 
     def has_truth(self) -> bool:
-        return all(f.truth_state is not None for f in self.fixes)
+        return bool((self.truth != NO_TRUTH).all())
 
     def positions(self) -> np.ndarray:
-        return np.array([[f.position.x, f.position.y] for f in self.fixes], dtype=float)
+        return self.xy
 
 
 @dataclass(frozen=True)
@@ -142,10 +180,8 @@ def simulate_walk(
     pos = g.positions()
     dx, dy = (pos[path[1:]] - pos[path[:-1]]).T
     dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
-    times = [0.0] + np.cumsum(dt).tolist()  # float64 cumsum adds in sequence
-    fixes = tuple(Fix(t=t, position=g.vertices[v].position, truth_state=v)
-                  for t, v in zip(times, path.tolist()))
-    return Trace(fixes=fixes, profile_name=profile.name)
+    times = np.concatenate(([0.0], np.cumsum(dt)))  # float64 cumsum adds in sequence
+    return Trace(t=times, xy=pos[path], truth=path, profile_name=profile.name)
 
 
 def add_noise(tr: Trace, sigma: float, seed: int) -> Trace:
@@ -154,13 +190,7 @@ def add_noise(tr: Trace, sigma: float, seed: int) -> Trace:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(len(tr), 2)) if sigma > 0 else np.zeros((len(tr), 2))
-    fixes = [
-        Fix(t=f.t,
-            position=LocalPoint(f.position.x + noise[k, 0], f.position.y + noise[k, 1]),
-            truth_state=f.truth_state)
-        for k, f in enumerate(tr.fixes)
-    ]
-    return Trace(fixes=tuple(fixes), profile_name=tr.profile_name)
+    return Trace(t=tr.t, xy=tr.xy + noise, truth=tr.truth, profile_name=tr.profile_name)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +300,7 @@ def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> floa
         raise ValueError(f"estimate length {len(estimate)} != trace length {len(tr)}")
     if not tr.has_truth():
         raise ValueError("trace carries no ground truth; localization error is undefined")
-    truth_states = np.array([f.truth_state for f in tr.fixes], dtype=int)
+    truth_states = tr.truth
     bad = np.flatnonzero((truth_states < 0) | (truth_states >= g.n))
     if bad.size:
         k = int(bad[0])
@@ -290,10 +320,9 @@ def hold_on_obstacle(P: StochasticMatrix, blocked: Iterable[int]) -> StochasticM
     for b in blocked:
         if not (0 <= b < P.n):
             raise ValueError(f"blocked state {b} outside 0..{P.n - 1}")
+    rows = np.array(blocked, dtype=int)
     M = np.array(P.entries)
-    for b in blocked:
-        M[b, :] = 0.0
-        M[b, b] = 1.0
+    M[rows] = rows[:, None] == np.arange(P.n)
     return StochasticMatrix(M, row_sum_tol=P.row_sum_tol)
 
 
@@ -430,38 +459,83 @@ def dispatch(events: Sequence[AlertEvent], sinks: Sequence) -> DeliveryReport:
 # ---------------------------------------------------------------------------
 # trace and obstacle serialization
 
+_TRACE_COLUMNS = ("t_s", "x_m", "y_m", "truth_vertex")
+
+
 def trace_to_csv(tr: Trace) -> str:
-    """Trace as CSV: t_s,x_m,y_m plus truth_vertex when any fix carries truth."""
-    with_truth = any(f.truth_state is not None for f in tr.fixes)
-    header = "t_s,x_m,y_m" + (",truth_vertex" if with_truth else "")
-    lines = [header]
-    for f in tr.fixes:
-        row = f"{f.t!r},{f.position.x!r},{f.position.y!r}"
-        if with_truth:
-            row += "," + ("" if f.truth_state is None else str(f.truth_state))
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    """Trace as CSV: t_s,x_m,y_m plus truth_vertex when any fix carries truth.
+
+    A fix without truth leaves its truth_vertex field empty.
+    """
+    t, x, y = tr.t.tolist(), tr.xy[:, 0].tolist(), tr.xy[:, 1].tolist()
+    missing = tr.truth == NO_TRUTH
+    if missing.all():
+        return "t_s,x_m,y_m\n" + "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t, x, y)])
+    truth = tr.truth.tolist()
+    for k in np.flatnonzero(missing).tolist():
+        truth[k] = ""
+    return "t_s,x_m,y_m,truth_vertex\n" + "".join(
+        [f"{a!r},{b!r},{c!r},{v}\n" for a, b, c, v in zip(t, x, y, truth)])
+
+
+def _truth_id(token: str) -> int:
+    """Vertex id of a truth_vertex field; ValueError unless it is an int64 other than NO_TRUTH."""
+    v = int(token)
+    if not (NO_TRUTH < v <= np.iinfo(np.int64).max):
+        raise ValueError(token)
+    return v
+
+
+def _check_trace_fields(k: int, parts: list[str], with_truth: bool) -> None:
+    """Raise a ValueError naming line ``k`` and the first of its fields that does not parse."""
+    for name, token in zip(_TRACE_COLUMNS[:3], parts):
+        try:
+            float(token)
+        except ValueError:
+            raise ValueError(f"trace line {k}: {name}: expected a number, got {token!r}") from None
+    if with_truth and len(parts) > 3 and parts[3].strip():
+        try:
+            _truth_id(parts[3])
+        except ValueError:
+            raise ValueError(f"trace line {k}: truth_vertex: expected an integer vertex id, "
+                             f"got {parts[3]!r}") from None
 
 
 def trace_from_csv(text: str, profile_name: str = "") -> Trace:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
+    """Parse a trace CSV; errors name the line (counted from 1, blank lines too) and field.
+
+    An empty or missing truth_vertex field marks a fix without truth.
+    """
+    numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not numbered:
         raise ValueError("trace file is empty")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[:3] != ["t_s", "x_m", "y_m"]:
-        raise ValueError(f"trace header must start with t_s,x_m,y_m, got {lines[0]!r}")
-    with_truth = len(header) > 3 and header[3] == "truth_vertex"
-    fixes = []
-    for k, line in enumerate(lines[1:], start=2):
+    header = [h.strip() for h in numbered[0][1].split(",")]
+    if header[:3] != list(_TRACE_COLUMNS[:3]):
+        raise ValueError(f"trace header must start with t_s,x_m,y_m, got {numbered[0][1]!r}")
+    with_truth = len(header) > 3 and header[3] == _TRACE_COLUMNS[3]
+    rows = []
+    for k, line in numbered[1:]:
         parts = line.split(",")
         if len(parts) < 3:
             raise ValueError(f"trace line {k}: expected at least 3 fields, got {line!r}")
+        rows.append((k, parts))
+    try:
+        values = np.array([[float(p[0]), float(p[1]), float(p[2])] for _, p in rows],
+                          dtype=float).reshape(len(rows), 3)
         truth = None
-        if with_truth and len(parts) > 3 and parts[3].strip():
-            truth = int(parts[3])
-        fixes.append(Fix(t=float(parts[0]), position=LocalPoint(float(parts[1]), float(parts[2])),
-                         truth_state=truth))
-    return Trace(fixes=tuple(fixes), profile_name=profile_name)
+        if with_truth:
+            truth = np.array([_truth_id(p[3]) if len(p) > 3 and p[3].strip() else NO_TRUTH
+                              for _, p in rows], dtype=np.int64)
+    except ValueError:
+        for k, parts in rows:
+            _check_trace_fields(k, parts, with_truth)
+        raise
+    t, xy = values[:, 0], values[:, 1:]
+    fault = _first_bad_fix(t, xy)
+    if fault is not None:
+        k, column, message = fault
+        raise ValueError(f"trace line {rows[k][0]}: {column}: {message}")
+    return Trace(t=t, xy=xy, truth=truth, profile_name=profile_name)
 
 
 def _obstacle_number(item: dict, k: int, key: str, convert=float):
@@ -477,7 +551,7 @@ def obstacles_from_json(text: str) -> list[Obstacle]:
     """Parse an obstacle file: a JSON list of {id, kind, x, y, vx, vy} with distinct ids."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ValueError(f"obstacle file: not valid JSON ({exc})") from exc
     if not isinstance(doc, list):
         raise ValueError("obstacle file: top level must be a list")

@@ -149,7 +149,7 @@ def load_profile(text: str) -> WalkingProfile:
     """Parse a profile config document: {"name", "step_length_m", "step_period_s"}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ValueError(f"profile config: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError("profile config: top level must be an object")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -36,10 +37,11 @@ def line_plot(
     all_y = [float(y) for _, _, ys in series for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
+    # a flat range widens by 1, or by one ulp where 1 is below the spacing of floats
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from walkchain import chains
 from walkchain import (
@@ -27,6 +29,7 @@ from walkchain import (
     grid_graph,
     hitting_time,
     hitting_times,
+    hold_on_obstacle,
     matrix_from_csv,
     matrix_to_csv,
     mixing_rate,
@@ -540,3 +543,65 @@ class TestCsv:
     def test_blank_lines_ignored(self):
         arr = array_from_csv("1.0,0.0\n\n0.5,0.5\n")
         assert arr.shape == (2, 2)
+
+
+def _per_entry_array_to_csv(arr) -> str:
+    """The writer the zero-run writer replaced: one repr per entry."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    lines = [",".join(repr(float(x)) for x in row) for row in arr]
+    return "\n".join(lines) + "\n"
+
+
+# zeros of both signs dominate, so whole rows and long runs of zeros come up
+_CSV_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, -0.0]),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, math.inf, -math.inf,
+                     math.nan, 1.0, 0.1, 1e16, 2.0 / 3.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestArrayCsvReference:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=_CSV_ENTRIES),
+           st.sampled_from([1, 2, 3, 5, 7, 16, chains._CSV_BLOCK]))
+    @settings(max_examples=300)
+    def test_matches_per_entry_repr(self, arr, block):
+        # small blocks put block boundaries inside runs of zeros and between rows
+        saved = chains._CSV_BLOCK
+        chains._CSV_BLOCK = block
+        try:
+            assert array_to_csv(arr) == _per_entry_array_to_csv(arr)
+        finally:
+            chains._CSV_BLOCK = saved
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 4), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 0.25])
+    def test_constant_arrays(self, shape, fill):
+        arr = np.full(shape, fill)
+        assert array_to_csv(arr) == _per_entry_array_to_csv(arr)
+
+    def test_vectors_and_scalars_are_one_row(self):
+        for arr in (np.array([0.0, -0.0, 1.5, 0.0]), np.float64(-0.0), [[0, 2], [3, 0]]):
+            assert array_to_csv(arr) == _per_entry_array_to_csv(arr)
+
+    def test_held_walk_matrix(self):
+        P = hold_on_obstacle(random_walk_matrix(grid_graph(12, 13)), [0, 7, 100, 155])
+        assert matrix_to_csv(P) == _per_entry_array_to_csv(P.entries)
+
+    def test_no_python_object_per_entry(self):
+        # the writer holds the text, its blocks and one block's pieces; an
+        # n x n list of Python floats alone would take 32 n^2 bytes, 8 times
+        # the text of a sparse matrix (the per-row writer peaked at 3 times
+        # the text on both arrays)
+        P = hold_on_obstacle(random_walk_matrix(grid_graph(30, 30)), [3, 50, 400]).entries
+        dense = np.random.default_rng(3).random((300, 300))
+        for arr in (P, dense):
+            tracemalloc.start()
+            try:
+                text = array_to_csv(arr)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.25 * len(text)
+        assert text == _per_entry_array_to_csv(dense)

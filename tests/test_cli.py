@@ -74,10 +74,10 @@ def _path_csv(map_path: str, steps: int, noise_sigma: float) -> str:
                       noise_sigma, seed=43)
     snapped, smoothed, pos = snap(trace, g), smooth(trace, g, P), g.positions()
     lines = ["t_s,snap_vertex,smooth_vertex,x_m,y_m,truth_vertex"]
-    for k, fix in enumerate(trace.fixes):
+    for k, (t, truth) in enumerate(zip(trace.t.tolist(), trace.truth.tolist())):
         v = smoothed[k]
-        lines.append(f"{fix.t!r},{snapped[k]},{v},{float(pos[v, 0])!r},{float(pos[v, 1])!r},"
-                     f"{fix.truth_state}")
+        lines.append(f"{t!r},{snapped[k]},{v},{float(pos[v, 0])!r},{float(pos[v, 1])!r},"
+                     f"{truth}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,9 +217,9 @@ class TestSimulate:
         out = tmp_path / "out"
         main(["simulate", "--map", line_map, "--steps", "10", "--out-dir", str(out)])
         tr = trace_from_csv((out / "trace.csv").read_text())
-        for f in tr.fixes:
-            assert f.position.x in (0.0, 5.8, 11.6)
-            assert f.position.y == 0.0
+        for x, y in tr.xy.tolist():
+            assert x in (0.0, 5.8, 11.6)
+            assert y == 0.0
 
     def test_seed_controls_bytes(self, tmp_path, line_map):
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -240,8 +240,8 @@ class TestSimulate:
         main(["simulate", "--map", line_map, "--steps", "5", "--out-dir", str(out_n)])
         main(["simulate", "--map", line_map, "--steps", "5", "--profile-config", str(cfg),
               "--out-dir", str(out_c)])
-        t_normal = trace_from_csv((out_n / "trace.csv").read_text()).fixes[-1].t
-        t_brisk = trace_from_csv((out_c / "trace.csv").read_text()).fixes[-1].t
+        t_normal = trace_from_csv((out_n / "trace.csv").read_text()).t[-1]
+        t_brisk = trace_from_csv((out_c / "trace.csv").read_text()).t[-1]
         assert t_normal == pytest.approx(2.0 * t_brisk)
 
     def test_unknown_profile_exits_1(self, tmp_path, line_map):
@@ -442,3 +442,23 @@ class TestInputContract:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "step_length_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, named", [
+        ("0.0,0.0,0.0,0\nabc,5.8,0.0,1\n", "trace line 3: t_s: expected a number, got 'abc'"),
+        ("0.0,0.0,0.0,0\n1.0,inf,0.0,1\n", "trace line 3: x_m: local coordinates must be finite"),
+        ("0.0,0.0,0.0,0\n1.0,5.8,0.0,1\n2.0,11.6,nan,2\n",
+         "trace line 4: y_m: local coordinates must be finite"),
+        ("0.0,0.0,0.0,0\n1.0,5.8,0.0,1.0\n",
+         "trace line 3: truth_vertex: expected an integer vertex id, got '1.0'"),
+        ("0.0,0.0,0.0,0\n2.0,5.8,0.0,1\n1.5,11.6,0.0,2\n",
+         "trace line 4: t_s: fix timestamps must strictly increase, got 2.0 then 1.5"),
+    ], ids=["time_not_a_number", "infinite_x", "nan_y", "fractional_truth", "time_goes_back"])
+    def test_trace_field_errors_name_the_line(self, tmp_path, line_map, capsys, rows, named):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_s,x_m,y_m,truth_vertex\n" + rows, encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["track", "--map", line_map, "--trace", str(trace), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()

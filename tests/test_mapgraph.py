@@ -140,6 +140,15 @@ class TestPathGraph:
             with pytest.raises(ValueError, match="outside"):
                 g.degree(i)
 
+    @given(st.one_of(connected_graphs(max_n=12), _simple_graphs()))
+    def test_positions_built_once_read_only(self, g):
+        pos = g.positions()
+        assert pos is g.positions()
+        assert pos.shape == (g.n, 2) and pos.dtype == np.float64
+        assert pos.tolist() == [[v.position.x, v.position.y] for v in g.vertices]
+        with pytest.raises(ValueError, match="read-only"):
+            pos[0, 0] = 1.0
+
     @given(connected_graphs())
     def test_degree_sum_is_twice_edge_count(self, g):
         assert degree_sum(g) == 2 * len(g.edges)
@@ -239,6 +248,12 @@ class TestLoadMap:
         )
         with pytest.raises(MapSchemaError, match=r"vertices\[1\]"):
             load_map(doc)
+
+    def test_integer_beyond_float_range_named_in_error(self):
+        for vertex, field in (({"id": 0, "x": 10**400, "y": 0.0}, r"vertices\[0\]\.x"),
+                              ({"id": 0, "lat": 0.0, "lon": -(10**400)}, r"vertices\[0\]\.lon")):
+            with pytest.raises(MapSchemaError, match=field + ": number out of range"):
+                load_map(_doc({"vertices": [vertex], "edges": []}))
 
     def test_edge_to_unknown_vertex_rejected(self):
         doc = _doc(

@@ -5,10 +5,12 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import math
 import socket
 import threading
 import tracemalloc
 import urllib.request
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -22,7 +24,7 @@ from walkchain import (
     NORMAL,
     AlertEvent,
     FileSink,
-    Fix,
+    NO_TRUTH,
     LocalPoint,
     Obstacle,
     PathGraph,
@@ -64,21 +66,45 @@ def star4() -> PathGraph:
 class TestDataTypes:
     def test_fix_time_validation(self):
         with pytest.raises(ValueError):
-            Fix(t=-1.0, position=LocalPoint(0, 0))
+            Trace(t=[-1.0], xy=[[0, 0]])
 
     def test_trace_requires_strictly_increasing_times(self):
-        f0 = Fix(t=0.0, position=LocalPoint(0, 0))
-        f1 = Fix(t=0.0, position=LocalPoint(1, 0))
         with pytest.raises(ValueError, match="strictly increase"):
-            Trace(fixes=(f0, f1))
+            Trace(t=[0.0, 0.0], xy=[[0, 0], [1, 0]])
         with pytest.raises(ValueError):
-            Trace(fixes=())
+            Trace(t=[], xy=np.empty((0, 2)))
 
     def test_trace_truth_flag(self):
-        f0 = Fix(t=0.0, position=LocalPoint(0, 0), truth_state=0)
-        f1 = Fix(t=1.0, position=LocalPoint(1, 0))
-        assert Trace(fixes=(f0,)).has_truth()
-        assert not Trace(fixes=(f0, f1)).has_truth()
+        assert Trace(t=[0.0], xy=[[0, 0]], truth=[0]).has_truth()
+        assert not Trace(t=[0.0, 1.0], xy=[[0, 0], [1, 0]], truth=[0, NO_TRUTH]).has_truth()
+
+    def test_trace_validation_names_the_first_bad_fix(self):
+        xy = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+        for t, xy, message in (
+                ([0.0, float("nan"), 2.0], xy, "fix time must be finite and >= 0, got nan"),
+                ([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, float("inf")], [2.0, 0.0]],
+                 r"local coordinates must be finite, got \(1.0, inf\)"),
+                ([0.0, 2.0, 1.0], xy, "strictly increase, got 2.0 then 1.0"),
+                ([0.0, 1.0], xy, r"xy must have shape \(2, 2\)"),
+                ([[0.0, 1.0, 2.0]], xy, "1-D")):
+            with pytest.raises(ValueError, match=message):
+                Trace(t=t, xy=xy)
+
+    def test_trace_truth_must_be_integer_ids(self):
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            Trace(t=[0.0, 1.0], xy=[[0, 0], [1, 0]], truth=[0.0, 1.5])
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            Trace(t=[0.0, 1.0], xy=[[0, 0], [1, 0]], truth=[0])
+
+    def test_trace_columns_are_read_only_copies(self):
+        t, xy, truth = np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0, 1])
+        tr = Trace(t=t, xy=xy, truth=truth)
+        t[0], xy[0, 0], truth[0] = 5.0, 5.0, 5
+        assert (tr.t[0], tr.xy[0, 0], tr.truth[0]) == (0.0, 0.0, 0)
+        for col in (tr.t, tr.xy, tr.truth, tr.positions()):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1
+        assert tr.truth.dtype == np.int64 and len(tr) == 2
 
     def test_stationary_obstacle_cannot_move(self):
         with pytest.raises(ValueError, match="non-zero velocity"):
@@ -105,22 +131,22 @@ class TestSimulateWalk:
         # 0.58 m edges at the normal profile: exactly one second per move
         g = grid_graph(2, 2, 0.58)
         tr = simulate_walk(g, random_walk_matrix(g), NORMAL, start=0, n_steps=10, seed=4)
-        assert [f.t for f in tr.fixes] == pytest.approx(list(range(11)), abs=1e-12)
+        assert tr.t.tolist() == pytest.approx(list(range(11)), abs=1e-12)
 
     def test_blind_walker_takes_same_route_slower(self):
         g = grid_graph(3, 3, 0.58)
         P = random_walk_matrix(g)
         a = simulate_walk(g, P, NORMAL, start=4, n_steps=25, seed=9)
         b = simulate_walk(g, P, BLIND, start=4, n_steps=25, seed=9)
-        assert [f.truth_state for f in a.fixes] == [f.truth_state for f in b.fixes]
-        ta = np.array([f.t for f in a.fixes])
-        tb = np.array([f.t for f in b.fixes])
+        assert a.truth.tolist() == b.truth.tolist()
+        ta = a.t
+        tb = b.t
         assert np.allclose(tb, 2.7 * ta, atol=1e-9)
 
     def test_truth_moves_along_edges(self):
         g = grid_graph(4, 4, 1.0)
         tr = simulate_walk(g, random_walk_matrix(g), NORMAL, start=5, n_steps=200, seed=1)
-        states = [f.truth_state for f in tr.fixes]
+        states = tr.truth.tolist()
         assert states[0] == 5
         edge_set = set(g.edges)
         for a, b in zip(states, states[1:]):
@@ -131,14 +157,14 @@ class TestSimulateWalk:
         P = random_walk_matrix(g)
         tr = simulate_walk(g, P, NORMAL, start=0, n_steps=40, seed=77)
         path = sample_path(P, 0, 40, seed=77)
-        assert [f.truth_state for f in tr.fixes] == path.tolist()
+        assert tr.truth.tolist() == path.tolist()
 
     def test_held_walker_dwells_one_step_period(self):
         g = grid_graph(2, 2, 1.0)
         P = hold_on_obstacle(random_walk_matrix(g), blocked=range(4))
         tr = simulate_walk(g, P, BLIND, start=2, n_steps=3, seed=0)
-        assert [f.truth_state for f in tr.fixes] == [2, 2, 2, 2]
-        assert [f.t for f in tr.fixes] == pytest.approx([0.0, 2.7, 5.4, 8.1])
+        assert tr.truth.tolist() == [2, 2, 2, 2]
+        assert tr.t.tolist() == pytest.approx([0.0, 2.7, 5.4, 8.1])
 
     def test_argument_validation(self):
         g = grid_graph(2, 2, 1.0)
@@ -163,8 +189,8 @@ class TestAddNoise:
         g = grid_graph(2, 2, 1.0)
         tr = simulate_walk(g, random_walk_matrix(g), NORMAL, start=0, n_steps=5, seed=2)
         noisy = add_noise(tr, sigma=2.0, seed=3)
-        assert [f.t for f in noisy.fixes] == [f.t for f in tr.fixes]
-        assert [f.truth_state for f in noisy.fixes] == [f.truth_state for f in tr.fixes]
+        assert noisy.t.tolist() == tr.t.tolist()
+        assert noisy.truth.tolist() == tr.truth.tolist()
         assert not np.array_equal(noisy.positions(), tr.positions())
 
     def test_seed_reproducibility(self):
@@ -176,13 +202,13 @@ class TestAddNoise:
     def test_mean_displacement_matches_rayleigh(self):
         # isotropic 2-D Gaussian: E|noise| = sigma * sqrt(pi / 2)
         n = 20_000
-        fixes = tuple(Fix(t=float(k), position=LocalPoint(0.0, 0.0)) for k in range(n))
-        noisy = add_noise(Trace(fixes=fixes), sigma=1.0, seed=5)
+        noisy = add_noise(Trace(t=np.arange(n, dtype=float), xy=np.zeros((n, 2))), sigma=1.0,
+                          seed=5)
         mean_disp = float(np.hypot(*noisy.positions().T).mean())
         assert mean_disp == pytest.approx(np.sqrt(np.pi / 2.0), abs=0.02)
 
     def test_negative_sigma_rejected(self):
-        tr = Trace(fixes=(Fix(t=0.0, position=LocalPoint(0, 0)),))
+        tr = Trace(t=[0.0], xy=[[0, 0]])
         with pytest.raises(ValueError):
             add_noise(tr, sigma=-0.1, seed=0)
 
@@ -191,12 +217,12 @@ class TestSnap:
     def test_noiseless_trace_snaps_to_truth(self):
         g = grid_graph(3, 3, 1.0)
         tr = simulate_walk(g, random_walk_matrix(g), NORMAL, start=4, n_steps=30, seed=6)
-        assert snap(tr, g) == [f.truth_state for f in tr.fixes]
+        assert snap(tr, g) == tr.truth.tolist()
 
     def test_tie_goes_to_lowest_id(self):
         vs = (Vertex(0, LocalPoint(0.0, 0.0)), Vertex(1, LocalPoint(2.0, 0.0)))
         g = PathGraph(vertices=vs, edges=((0, 1),))
-        tr = Trace(fixes=(Fix(t=0.0, position=LocalPoint(1.0, 0.0)),))
+        tr = Trace(t=[0.0], xy=[[1.0, 0.0]])
         assert snap(tr, g) == [0]
 
 
@@ -207,7 +233,7 @@ class TestSmooth:
         g = grid_graph(3, 3, 1.0)
         P = random_walk_matrix(g)
         tr = simulate_walk(g, P, NORMAL, start=4, n_steps=30, seed=3)
-        assert smooth(tr, g, P, emission_sigma=0.5) == [f.truth_state for f in tr.fixes]
+        assert smooth(tr, g, P, emission_sigma=0.5) == tr.truth.tolist()
 
     def test_smoothing_beats_memoryless_snap_under_noise(self):
         # joint score dominance is guaranteed per run; error dominance only on
@@ -256,18 +282,13 @@ class TestSmooth:
         vs = (Vertex(0, LocalPoint(0.0, 0.0)), Vertex(1, LocalPoint(2.0, 0.0)))
         g = PathGraph(vertices=vs, edges=((0, 1),))
         P = random_walk_matrix(g)
-        tr = Trace(fixes=(Fix(t=0.0, position=LocalPoint(1.0, 0.0)),))
+        tr = Trace(t=[0.0], xy=[[1.0, 0.0]])
         assert smooth(tr, g, P) == [0]
 
     def test_overflowing_fix_raises_trellis_error(self):
         g = grid_graph(2, 2, 1.0)
         P = random_walk_matrix(g)
-        tr = Trace(
-            fixes=(
-                Fix(t=0.0, position=LocalPoint(0.0, 0.0)),
-                Fix(t=1.0, position=LocalPoint(1e200, 0.0)),
-            )
-        )
+        tr = Trace(t=[0.0, 1.0], xy=[[0.0, 0.0], [1e200, 0.0]])
         with pytest.raises(TrellisError, match="fix 1"):
             smooth(tr, g, P, emission_sigma=1.0)
 
@@ -276,8 +297,7 @@ class TestSmooth:
         # table holds n * d entries, d = 4 on a grid
         g = grid_graph(40, 40, 1.0)
         P = random_walk_matrix(g)
-        tr = Trace(fixes=tuple(Fix(t=float(k), position=LocalPoint(float(k), 1.5))
-                               for k in range(5)))
+        tr = Trace(t=np.arange(5.0), xy=[[float(k), 1.5] for k in range(5)])
         tracemalloc.start()
         try:
             seq = smooth(tr, g, P)
@@ -290,7 +310,7 @@ class TestSmooth:
     def test_sigma_validation(self):
         g = grid_graph(2, 2, 1.0)
         P = random_walk_matrix(g)
-        tr = Trace(fixes=(Fix(t=0.0, position=LocalPoint(0, 0)),))
+        tr = Trace(t=[0.0], xy=[[0, 0]])
         with pytest.raises(ValueError):
             smooth(tr, g, P, emission_sigma=0.0)
 
@@ -299,37 +319,27 @@ class TestScoresAndError:
     def test_sequence_log_score_manual(self):
         g = star4()
         P = random_walk_matrix(g)
-        tr = Trace(
-            fixes=(
-                Fix(t=0.0, position=LocalPoint(0.0, 0.0)),
-                Fix(t=1.0, position=LocalPoint(1.0, 0.0)),
-            )
-        )
+        tr = Trace(t=[0.0, 1.0], xy=[[0.0, 0.0], [1.0, 0.0]])
         got = sequence_log_score([0, 1], tr, g, P, emission_sigma=1.0)
         assert got == pytest.approx(np.log(1.0 / 3.0), abs=1e-12)
 
     def test_zero_probability_transition_scores_minus_inf(self):
         g = star4()
         P = random_walk_matrix(g)
-        tr = Trace(
-            fixes=(
-                Fix(t=0.0, position=LocalPoint(1.0, 0.0)),
-                Fix(t=1.0, position=LocalPoint(0.0, 1.0)),
-            )
-        )
+        tr = Trace(t=[0.0, 1.0], xy=[[1.0, 0.0], [0.0, 1.0]])
         assert sequence_log_score([1, 2], tr, g, P) == -np.inf
 
     def test_localization_error_values(self):
         g = grid_graph(2, 2, 1.0)
         tr = simulate_walk(g, random_walk_matrix(g), NORMAL, start=0, n_steps=3, seed=1)
-        truth = [f.truth_state for f in tr.fixes]
+        truth = tr.truth.tolist()
         assert localization_error(truth, tr, g) == 0.0
         wrong = [(s + 1) % 4 for s in truth]
         assert localization_error(wrong, tr, g) > 0
 
     def test_localization_error_requires_truth(self):
         g = grid_graph(2, 2, 1.0)
-        tr = Trace(fixes=(Fix(t=0.0, position=LocalPoint(0, 0)),))
+        tr = Trace(t=[0.0], xy=[[0, 0]])
         with pytest.raises(ValueError, match="truth"):
             localization_error([0], tr, g)
 
@@ -367,6 +377,22 @@ class TestHold:
         g = grid_graph(2, 2, 1.0)
         with pytest.raises(ValueError):
             hold_on_obstacle(random_walk_matrix(g), blocked=[9])
+
+    def test_first_out_of_range_state_named(self):
+        P = random_walk_matrix(grid_graph(2, 2, 1.0))
+        with pytest.raises(ValueError, match=r"^blocked state -1 outside 0\.\.3$"):
+            hold_on_obstacle(P, blocked=[9, 2, -1])
+
+    @given(connected_graphs(max_n=9), st.data())
+    @settings(max_examples=100)
+    def test_row_mask_matches_per_row_loop(self, g, data):
+        P = random_walk_matrix(g)
+        blocked = data.draw(st.lists(st.integers(0, g.n - 1)))
+        M = np.array(P.entries)
+        for b in sorted(set(blocked)):
+            M[b, :] = 0.0
+            M[b, b] = 1.0
+        assert hold_on_obstacle(P, blocked).entries.tobytes() == M.tobytes()
 
 
 class TestDetect:
@@ -544,15 +570,15 @@ class TestSerialization:
         noisy = add_noise(tr, sigma=0.4, seed=9)
         back = trace_from_csv(trace_to_csv(noisy), profile_name=noisy.profile_name)
         assert np.array_equal(back.positions(), noisy.positions())
-        assert [f.t for f in back.fixes] == [f.t for f in noisy.fixes]
-        assert [f.truth_state for f in back.fixes] == [f.truth_state for f in noisy.fixes]
+        assert back.t.tolist() == noisy.t.tolist()
+        assert back.truth.tolist() == noisy.truth.tolist()
 
     def test_trace_without_truth_omits_column(self):
-        tr = Trace(fixes=(Fix(t=0.0, position=LocalPoint(1.5, -2.5)),))
+        tr = Trace(t=[0.0], xy=[[1.5, -2.5]])
         text = trace_to_csv(tr)
         assert text.splitlines()[0] == "t_s,x_m,y_m"
         back = trace_from_csv(text)
-        assert back.fixes[0].truth_state is None
+        assert back.truth.tolist() == [NO_TRUTH]
 
     def test_trace_header_checked(self):
         with pytest.raises(ValueError, match="header"):
@@ -563,6 +589,39 @@ class TestSerialization:
     def test_trace_short_line_reported_with_number(self):
         with pytest.raises(ValueError, match="line 3"):
             trace_from_csv("t_s,x_m,y_m\n0.0,0.0,0.0\n1.0,2.0\n")
+
+    @pytest.mark.parametrize("body, message", [
+        ("0.0,0.0,0.0\nabc,1.0,0.0\n", "trace line 3: t_s: expected a number, got 'abc'"),
+        ("0.0,0.0,0.0\n1.0,,0.0\n", "trace line 3: x_m: expected a number, got ''"),
+        ("0.0,0.0,0.0\n1.0,inf,0.0\n",
+         "trace line 3: x_m: local coordinates must be finite, got (inf, 0.0)"),
+        ("0.0,0.0,nan\n", "trace line 2: y_m: local coordinates must be finite, got (0.0, nan)"),
+        ("-1.0,0.0,0.0\n", "trace line 2: t_s: fix time must be finite and >= 0, got -1.0"),
+        ("0.0,0.0,0.0\n2.0,0.0,0.0\n1.0,0.0,0.0\n",
+         "trace line 4: t_s: fix timestamps must strictly increase, got 2.0 then 1.0"),
+        ("0.0,0.0,0.0,1\n1.0,0.0,0.0,1.5\n",
+         "trace line 3: truth_vertex: expected an integer vertex id, got '1.5'"),
+        ("0.0,0.0,0.0,-9223372036854775808\n",
+         "trace line 2: truth_vertex: expected an integer vertex id, "
+         "got '-9223372036854775808'"),
+        ("0.0,0.0,0.0,9223372036854775808\n",
+         "trace line 2: truth_vertex: expected an integer vertex id, got '9223372036854775808'"),
+        # blank lines count: the error names the line an editor shows
+        ("\n0.0,0.0,0.0\n\n1.0,0.0,0.0\n0.5,0.0,0.0\n",
+         "trace line 6: t_s: fix timestamps must strictly increase, got 1.0 then 0.5"),
+    ])
+    def test_trace_errors_name_line_and_field(self, body, message):
+        with pytest.raises(ValueError) as exc:
+            trace_from_csv("t_s,x_m,y_m,truth_vertex\n" + body)
+        assert str(exc.value) == message
+
+    def test_trace_partial_truth(self):
+        tr = trace_from_csv("t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,3\n1.0,1.0,0.0,\n2.0,1.0,1.0\n")
+        assert tr.truth.tolist() == [3, NO_TRUTH, NO_TRUTH]
+        assert not tr.has_truth()
+        assert trace_to_csv(tr) == "t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,3\n1.0,1.0,0.0,\n2.0,1.0,1.0,\n"
+        bare = trace_from_csv("t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,\n")
+        assert trace_to_csv(bare) == "t_s,x_m,y_m\n0.0,0.0,0.0\n"
 
     def test_obstacles_parse(self):
         text = json.dumps(
@@ -642,18 +701,95 @@ def _searchsorted_sample_path(P, start, n_steps, seed):
     return path
 
 
+# The per-fix trace that columnar Trace replaced: one frozen object per fix,
+# validated one at a time. Its simulate, noise and CSV functions are the
+# references for the column versions, byte for byte.
+
+@dataclass(frozen=True)
+class _Fix:
+    t: float
+    position: LocalPoint
+    truth_state: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "t", float(self.t))
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"fix time must be finite and >= 0, got {self.t!r}")
+
+
+def _fix_trace(fixes) -> tuple:
+    fixes = tuple(fixes)
+    if not fixes:
+        raise ValueError("trace must contain at least one fix")
+    for a, b in zip(fixes, fixes[1:]):
+        if b.t <= a.t:
+            raise ValueError(f"fix timestamps must strictly increase, got {a.t!r} then {b.t!r}")
+    return fixes
+
+
+def _fix_simulate_walk(g, P, profile, start, n_steps, seed):
+    path = sample_path(P, start, n_steps, seed)
+    pos = g.positions()
+    dx, dy = (pos[path[1:]] - pos[path[:-1]]).T
+    dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
+    times = [0.0] + np.cumsum(dt).tolist()
+    return _fix_trace(_Fix(t=t, position=g.vertices[v].position, truth_state=v)
+                      for t, v in zip(times, path.tolist()))
+
+
+def _fix_add_noise(fixes, sigma, seed):
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma, size=(len(fixes), 2)) if sigma > 0 else np.zeros((len(fixes), 2))
+    return _fix_trace(
+        _Fix(t=f.t, position=LocalPoint(f.position.x + noise[k, 0], f.position.y + noise[k, 1]),
+             truth_state=f.truth_state)
+        for k, f in enumerate(fixes))
+
+
+def _fix_trace_to_csv(fixes) -> str:
+    with_truth = any(f.truth_state is not None for f in fixes)
+    lines = ["t_s,x_m,y_m" + (",truth_vertex" if with_truth else "")]
+    for f in fixes:
+        row = f"{f.t!r},{f.position.x!r},{f.position.y!r}"
+        if with_truth:
+            row += "," + ("" if f.truth_state is None else str(f.truth_state))
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def _fix_trace_from_csv(text: str) -> tuple:
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    header = [h.strip() for h in lines[0].split(",")]
+    with_truth = len(header) > 3 and header[3] == "truth_vertex"
+    fixes = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        truth = None
+        if with_truth and len(parts) > 3 and parts[3].strip():
+            truth = int(parts[3])
+        fixes.append(_Fix(t=float(parts[0]), position=LocalPoint(float(parts[1]), float(parts[2])),
+                          truth_state=truth))
+    return _fix_trace(fixes)
+
+
+def _columns_of(fixes) -> tuple[list, list, list]:
+    """(times, [x, y] rows, truth with NO_TRUTH for None) of per-fix objects."""
+    return ([f.t for f in fixes], [[f.position.x, f.position.y] for f in fixes],
+            [NO_TRUTH if f.truth_state is None else f.truth_state for f in fixes])
+
+
 def _loop_simulate_walk(g, P, profile, start, n_steps, seed):
     path = _searchsorted_sample_path(P, start, n_steps, seed).tolist()
     pos = g.positions()
-    fixes = [Fix(t=0.0, position=g.vertices[start].position, truth_state=start)]
+    fixes = [_Fix(t=0.0, position=g.vertices[start].position, truth_state=start)]
     t = 0.0
     for state, nxt in zip(path, path[1:]):
         if nxt == state:
             t += profile.step_period
         else:
             t += float(np.hypot(*(pos[nxt] - pos[state]))) / profile.speed
-        fixes.append(Fix(t=t, position=g.vertices[nxt].position, truth_state=nxt))
-    return Trace(fixes=tuple(fixes), profile_name=profile.name)
+        fixes.append(_Fix(t=t, position=g.vertices[nxt].position, truth_state=nxt))
+    return _fix_trace(fixes)
 
 
 def _points_graph(n: int) -> PathGraph:
@@ -668,15 +804,15 @@ def _traces_near(draw, g: PathGraph, max_m: int = 8) -> Trace:
     m = draw(st.integers(1, max_m))
     pos = g.positions()
     lo, hi = pos.min(axis=0) - 1.0, pos.max(axis=0) + 1.0
-    fixes = []
+    xy = []
     for k in range(m):
         if draw(st.booleans()):
             x, y = pos[draw(st.integers(0, g.n - 1))]
         else:
             x = draw(st.floats(lo[0], hi[0]))
             y = draw(st.floats(lo[1], hi[1]))
-        fixes.append(Fix(t=float(k), position=LocalPoint(x, y)))
-    return Trace(fixes=tuple(fixes))
+        xy.append([x, y])
+    return Trace(t=np.arange(m, dtype=float), xy=xy)
 
 
 @st.composite
@@ -716,8 +852,7 @@ class TestDistances:
            st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6), _SIGMAS)
     @settings(max_examples=200)
     def test_bits_match_the_stacked_difference_sum(self, fixes, points, sigma):
-        tr = Trace(fixes=tuple(Fix(t=float(k), position=LocalPoint(x, y))
-                               for k, (x, y) in enumerate(fixes)))
+        tr = Trace(t=np.arange(len(fixes), dtype=float), xy=fixes)
         g = PathGraph(vertices=tuple(Vertex(k, LocalPoint(x, y)) for k, (x, y) in enumerate(points)),
                       edges=())
         obs, pos = tr.positions(), g.positions()
@@ -732,8 +867,8 @@ class TestDistances:
         # the (m, n, 2) difference and its square took three m x n arrays at once
         g = grid_graph(20, 20, 1.0)
         rng = np.random.default_rng(5)
-        tr = Trace(fixes=tuple(Fix(t=float(k), position=LocalPoint(*rng.uniform(0.0, 19.0, 2)))
-                               for k in range(1500)))
+        tr = Trace(t=np.arange(1500, dtype=float),
+                   xy=[rng.uniform(0.0, 19.0, 2) for k in range(1500)])
         result = len(tr) * g.n * 8
         for decode in (lambda: snap(tr, g), lambda: pipeline._log_emissions(tr, g, 1.0)):
             tracemalloc.start()
@@ -785,9 +920,8 @@ class TestReferenceOracles:
         P = random_walk_matrix(g)
         pos = g.positions()
         picks = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=10))
-        tr = Trace(fixes=tuple(
-            Fix(t=float(k), position=LocalPoint(*((pos[a] + pos[b]) / 2.0)))
-            for k, (a, b) in enumerate(picks)))
+        tr = Trace(t=np.arange(len(picks), dtype=float),
+                   xy=[(pos[a] + pos[b]) / 2.0 for a, b in picks])
         assert smooth(tr, g, P, sigma) == _dense_smooth(tr, g, P, sigma)
 
     @given(st.one_of(connected_graphs(max_n=9).map(random_walk_matrix),
@@ -820,11 +954,64 @@ class TestReferenceOracles:
         start = data.draw(st.integers(0, g.n - 1))
         n_steps = data.draw(st.integers(0, 80))
         assert (trace_to_csv(simulate_walk(g, P, profile, start, n_steps, seed))
-                == trace_to_csv(_loop_simulate_walk(g, P, profile, start, n_steps, seed)))
+                == _fix_trace_to_csv(_loop_simulate_walk(g, P, profile, start, n_steps, seed)))
 
     @given(_chains_with_short_row(), st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_simulate_walk_csv_matches_per_step_loop_on_short_rows(self, P, seed):
         g = _points_graph(P.n)
         assert (trace_to_csv(simulate_walk(g, P, BLIND, 0, 50, seed))
-                == trace_to_csv(_loop_simulate_walk(g, P, BLIND, 0, 50, seed)))
+                == _fix_trace_to_csv(_loop_simulate_walk(g, P, BLIND, 0, 50, seed)))
+
+
+_FIX_COORDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 5e-324, -1e-310, 1e300]))
+
+
+@st.composite
+def _per_fix_traces(draw, max_m: int = 12) -> tuple:
+    """Per-fix traces with any mix of fixes with and without truth."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1e9), min_size=1, max_size=max_m, unique=True)))
+    truth = st.one_of(st.none(), st.integers(-2**63 + 1, 2**63 - 1), st.integers(0, 30))
+    return _fix_trace(_Fix(t=t, position=LocalPoint(draw(_FIX_COORDS), draw(_FIX_COORDS)),
+                           truth_state=draw(truth)) for t in times)
+
+
+class TestPerFixReference:
+    @given(connected_graphs(max_n=9), st.data(), st.sampled_from([NORMAL, BLIND]),
+           st.sampled_from([0.0, 0.5, 2.5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_simulate_and_noise_write_the_reference_bytes(self, g, data, profile, sigma, seed):
+        blocked = data.draw(st.sets(st.integers(0, g.n - 1)))
+        P = hold_on_obstacle(random_walk_matrix(g), blocked)
+        start = data.draw(st.integers(0, g.n - 1))
+        n_steps = data.draw(st.integers(0, 80))
+        tr = simulate_walk(g, P, profile, start, n_steps, seed)
+        ref = _fix_simulate_walk(g, P, profile, start, n_steps, seed)
+        assert trace_to_csv(tr) == _fix_trace_to_csv(ref)
+        noisy, ref_noisy = add_noise(tr, sigma, seed + 1), _fix_add_noise(ref, sigma, seed + 1)
+        assert trace_to_csv(noisy) == _fix_trace_to_csv(ref_noisy)
+        t, xy, truth = _columns_of(ref_noisy)
+        assert noisy.t.tobytes() == np.array(t).tobytes()
+        assert noisy.xy.tobytes() == np.array(xy).tobytes()
+        assert noisy.truth.tolist() == truth and noisy.profile_name == profile.name
+
+    @given(_per_fix_traces())
+    @settings(max_examples=200)
+    def test_csv_round_trip_matches_reference(self, fixes):
+        text = _fix_trace_to_csv(fixes)
+        t, xy, truth = _columns_of(fixes)
+        assert trace_to_csv(Trace(t=t, xy=xy, truth=truth)) == text
+        back, ref = trace_from_csv(text), _fix_trace_from_csv(text)
+        t, xy, truth = _columns_of(ref)
+        assert back.t.tobytes() == np.array(t).tobytes()
+        assert back.xy.tobytes() == np.array(xy).tobytes()
+        assert back.truth.tolist() == truth
+        assert back.has_truth() == all(f.truth_state is not None for f in ref)
+        assert trace_to_csv(back) == text
+
+    def test_long_walk_matches_reference(self):
+        g = grid_graph(12, 12, 0.58)
+        P = random_walk_matrix(g)
+        tr = add_noise(simulate_walk(g, P, NORMAL, 5, 5000, seed=3), 2.0, seed=4)
+        ref = _fix_add_noise(_fix_simulate_walk(g, P, NORMAL, 5, 5000, seed=3), 2.0, seed=4)
+        assert trace_to_csv(tr) == _fix_trace_to_csv(ref)

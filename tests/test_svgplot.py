@@ -42,6 +42,13 @@ def test_constant_series_does_not_divide_by_zero():
     assert "NaN" not in svg and "nan" not in svg
 
 
+def test_constant_series_of_huge_values_does_not_divide_by_zero():
+    # 2**63 + 1.0 == 2**63, so widening a flat range by 1 left it flat
+    for big in (2.0**63, 1e300):
+        svg = line_plot([("flat", [big, big], [big, big])])
+        assert "NaN" not in svg and "nan" not in svg
+
+
 def test_single_point_series_renders():
     svg = line_plot([("dot", [2.0], [7.0])])
     assert "<polyline" in svg
