@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -44,35 +46,116 @@ def _validated_square(entries, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+def _check_row_sums(sums: np.ndarray, tol: float) -> None:
+    bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if bad.size:
+        raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, outside 1 +/- {tol}")
+
+
 class StochasticMatrix:
-    """Row-stochastic transition matrix over states 0..n-1.
+    """Row-stochastic transition matrix over states 0..n-1, held in CSR form.
+
+    Row i stores its columns ``indices[indptr[i]:indptr[i + 1]]`` in
+    ascending order and their probabilities at the same places of ``data``;
+    all three are read-only numpy arrays. Every entry other than +0.0 is
+    stored, -0.0 included, so a dense matrix comes back bit for bit; the
+    positive-entry digraph is ``data > 0``. ``entries`` is the dense n x n
+    view, built on first access and cached; only the dense algebra
+    (``analyze``, ``n_step``, ``evolve``, ``transient``, ``generator``)
+    reads it.
 
     ``row_sum_tol`` is the admissible deviation of each row sum from 1. The
     default is tight; operations that intentionally under-approximate rows
     (truncated series) construct instances with a looser bound.
     """
 
-    entries: np.ndarray
-    row_sum_tol: float = ROW_SUM_TOL
+    __slots__ = ("indptr", "indices", "data", "row_sum_tol", "_entries")
 
-    def __post_init__(self) -> None:
-        arr = _validated_square(self.entries, "transition matrix")
+    def __init__(self, entries, row_sum_tol: float = ROW_SUM_TOL):
+        arr = _validated_square(entries, "transition matrix")
         if np.any(arr < 0):
             i, j = np.argwhere(arr < 0)[0]
             raise ValueError(f"negative transition probability at ({i}, {j}): {arr[i, j]!r}")
-        sums = arr.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > self.row_sum_tol)
-        if bad.size:
-            raise ValueError(
-                f"row {bad[0]} sums to {sums[bad[0]]!r}, outside 1 +/- {self.row_sum_tol}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        _check_row_sums(arr.sum(axis=1), row_sum_tol)
+        rows, cols = np.nonzero((arr != 0) | np.signbit(arr))  # -0.0 prints as -0.0
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=arr.shape[0]))))
+        # cols is a strided view of one buffer it shares with rows: keep a compact copy
+        self._init(indptr, np.ascontiguousarray(cols), arr[rows, cols], row_sum_tol, arr)
+
+    @classmethod
+    def from_csr(cls, indptr, indices, data, row_sum_tol: float = ROW_SUM_TOL) -> StochasticMatrix:
+        """Matrix from CSR arrays, validated without building the dense view.
+
+        Columns must ascend strictly within each row. Stored +0.0 entries
+        are dropped. Each row is summed over its stored entries in order.
+        """
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        data = np.array(data, dtype=float)
+        if indptr.ndim != 1 or indptr.size < 2:
+            raise ValueError("transition matrix must have at least one state")
+        n = indptr.size - 1
+        counts = np.diff(indptr)
+        if (indptr[0] != 0 or np.any(counts < 0) or indices.shape != (indptr[-1],)
+                or data.shape != indices.shape):
+            raise ValueError(f"malformed CSR arrays: indptr must rise from 0 to the "
+                             f"{indices.size} stored entries, one datum each")
+        rows = np.repeat(np.arange(n), counts)
+        if np.any((indices < 0) | (indices >= n)):
+            raise ValueError(f"column index outside 0..{n - 1}")
+        if np.any((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])):
+            raise ValueError("column indices must strictly ascend within each row")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("transition matrix entries must be finite")
+        neg = np.flatnonzero(data < 0)
+        if neg.size:
+            k = neg[0]
+            raise ValueError(f"negative transition probability at ({rows[k]}, {indices[k]}): "
+                             f"{data[k]!r}")
+        _check_row_sums(np.bincount(rows, weights=data, minlength=n), row_sum_tol)
+        keep = (data != 0) | np.signbit(data)
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
+            indices, data = indices[keep], data[keep]
+        P = cls.__new__(cls)
+        P._init(indptr, indices, data, row_sum_tol, None)
+        return P
+
+    def _init(self, indptr, indices, data, row_sum_tol, dense) -> None:
+        for name, value in (("indptr", indptr), ("indices", indices), ("data", data),
+                            ("_entries", dense)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "row_sum_tol", row_sum_tol)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StochasticMatrix is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (type(self).from_csr, (self.indptr, self.indices, self.data, self.row_sum_tol))
+
+    def __repr__(self) -> str:
+        return (f"StochasticMatrix.from_csr({self.indptr!r}, {self.indices!r}, {self.data!r}, "
+                f"row_sum_tol={self.row_sum_tol!r})")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.indptr.size - 1
+
+    def rows(self) -> np.ndarray:
+        """Row of each stored entry, aligned with ``indices`` and ``data``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense read-only n x n view, built on first access and cached."""
+        if self._entries is None:
+            arr = np.zeros((self.n, self.n))
+            arr[self.rows(), self.indices] = self.data
+            arr.flags.writeable = False
+            object.__setattr__(self, "_entries", arr)
+        return self._entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,21 +220,20 @@ def evolve(d0: Distribution, P: StochasticMatrix, n: int) -> Distribution:
     return Distribution(d0.probs @ np.linalg.matrix_power(P.entries, n))
 
 
-def _reachable(positive: np.ndarray, start: int) -> np.ndarray:
-    """Boolean mask of states reachable from ``start`` in >= 0 steps."""
-    n = positive.shape[0]
-    seen = np.zeros(n, dtype=bool)
+def _reachable(succ: list[list[int]], start: int) -> np.ndarray:
+    """Boolean mask of states reachable from ``start`` in >= 0 steps along ``succ``."""
+    seen = [False] * len(succ)
     seen[start] = True
     frontier = [start]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for v in np.flatnonzero(positive[u]):
+            for v in succ[u]:
                 if not seen[v]:
                     seen[v] = True
-                    nxt.append(int(v))
+                    nxt.append(v)
         frontier = nxt
-    return seen
+    return np.array(seen)
 
 
 def accessible(P: StochasticMatrix, i: int, j: int) -> bool:
@@ -161,12 +243,22 @@ def accessible(P: StochasticMatrix, i: int, j: int) -> bool:
             raise ValueError(f"state {s} outside 0..{P.n - 1}")
     if i == j:
         return True
-    return bool(_reachable(P.entries > 0, i)[j])
+    return bool(_reachable(_successors(P), i)[j])
 
 
-def _successors(P: StochasticMatrix) -> list[list[int]]:
-    """Per-state lists of positive-probability successors, in increasing order."""
-    return [np.flatnonzero(row).tolist() for row in P.entries > 0]
+def _successors(P: StochasticMatrix, reverse: bool = False) -> list[list[int]]:
+    """Per-state lists of positive-probability successors, in increasing order.
+
+    With ``reverse`` the lists hold predecessors instead (the transpose).
+    """
+    keep = P.data > 0
+    src, dst = P.rows()[keep], P.indices[keep]
+    if reverse:  # a stable sort by column keeps the rows ascending within each
+        order = np.argsort(dst, kind="stable")
+        src, dst = dst[order], src[order]
+    ends = np.cumsum(np.bincount(src, minlength=P.n)).tolist()
+    dst = dst.tolist()
+    return [dst[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _communicating_classes(succ: list[list[int]]) -> list[list[int]]:
@@ -387,9 +479,8 @@ def hitting_time(P: StochasticMatrix, u: int, v: int) -> float:
             raise ValueError(f"state {s} outside 0..{P.n - 1}")
     if u == v:
         return 0.0
-    positive = P.entries > 0
-    visitable = _reachable(positive, u)
-    reaches_v = _reachable(positive.T, v)  # one reverse search from the target
+    visitable = _reachable(_successors(P), u)
+    reaches_v = _reachable(_successors(P, reverse=True), v)  # one reverse search from the target
     stranded = np.flatnonzero(visitable & ~reaches_v)
     if stranded.size:  # covers v not being visitable at all: u itself strands then
         raise UnreachableStateError(v, tuple(int(i) for i in stranded))
@@ -444,15 +535,16 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     u = np.random.default_rng(seed).random(n_steps).tolist()
-    # Only nonzero columns are searched: at a zero column the cumulative sum
-    # repeats its left neighbour's, so it is never the first to exceed u.
-    rows, cols = np.nonzero(P.entries)
-    sums = np.cumsum(P.entries, axis=1)[rows, cols].tolist()
-    cols = cols.tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=P.n)).tolist()
+    # Only positive columns are searched: at a zero column the cumulative sum
+    # repeats its left neighbour's, so it is never the first to exceed u. The
+    # running sums over the positive entries alone have the bits of full-row
+    # sums, as adding a zero is exact.
+    keep = P.data > 0
+    probs, cols = P.data[keep].tolist(), P.indices[keep].tolist()
+    ends = np.cumsum(np.bincount(P.rows()[keep], minlength=P.n)).tolist()
     bounds, targets = [], []
     for a, b in zip([0] + ends[:-1], ends):
-        bounds.append(sums[a:b])
+        bounds.append(list(accumulate(probs[a:b])))
         targets.append(cols[a:b] + [P.n - 1])  # a draw past the row total
     path = [start]
     state = start
@@ -470,35 +562,64 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
 _CSV_BLOCK = 1 << 14
 
 
-def array_to_csv(arr: np.ndarray) -> str:
+def _join_or_write(pieces: Iterable[str], out: TextIO | None) -> str | None:
+    """The pieces joined into one string, or, given an open text handle, written to it."""
+    if out is None:
+        return "".join(pieces)
+    for piece in pieces:
+        out.write(piece)
+    return None
+
+
+def array_to_csv(arr, out: TextIO | None = None) -> str | None:
     """One line per row, each entry as its ``repr`` joined by commas.
 
-    Only entries other than +0.0 go through ``repr``; every run of +0.0
-    entries between them, across row ends too, is one slice of a repeated
-    ``"0.0,...,0.0\\n"`` row, whose entries are all four characters wide.
-    Rows are taken in blocks of weight about ``_CSV_BLOCK``, so the Python
-    strings alive at once stay few on dense and sparse arrays alike.
+    ``arr`` is an array or a :class:`StochasticMatrix`, whose stored entries
+    are written without building its dense view. Only entries other than
+    +0.0 go through ``repr``; every run of +0.0 entries between them, across
+    row ends too, is one slice of a repeated ``"0.0,...,0.0\\n"`` row, whose
+    entries are all four characters wide. Rows are taken in blocks of weight
+    about ``_CSV_BLOCK``, so the Python strings alive at once stay few on
+    dense and sparse arrays alike. With an open text handle ``out`` each
+    block is written as it is made and None is returned; otherwise the
+    whole text is.
     """
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    m, n = arr.shape
-    if arr.size == 0:
-        return "\n" * max(m, 1)
-    group = np.cumsum(n + 16 * np.count_nonzero(arr, axis=1)) // _CSV_BLOCK
+    return _join_or_write(_csv_blocks(arr), out)
+
+
+def _csv_blocks(arr) -> Iterable[str]:
+    csr = isinstance(arr, StochasticMatrix)
+    if csr:
+        m = n = arr.n
+        stored = np.diff(arr.indptr)
+        rows = arr.rows()
+    else:
+        arr = np.atleast_2d(np.asarray(arr, dtype=float))
+        m, n = arr.shape
+        if arr.size == 0:
+            yield "\n" * max(m, 1)
+            return
+        stored = np.count_nonzero(arr, axis=1)
+    group = np.cumsum(n + 16 * stored) // _CSV_BLOCK
     edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), m]
     zeros = ("0.0," * (n - 1) + "0.0\n") * min(_CSV_BLOCK // n + 1, m)  # rows of any block
-    blocks = []
     for lo, hi in zip(edges, edges[1:]):
-        block = arr[lo:hi].ravel()
-        kept = np.flatnonzero((block != 0) | np.signbit(block))  # -0.0 prints as -0.0
+        if csr:  # every stored entry is kept
+            first, last = arr.indptr[lo], arr.indptr[hi]
+            kept = (rows[first:last] - lo) * n + arr.indices[first:last]
+            values = arr.data[first:last]
+        else:
+            block = arr[lo:hi].ravel()
+            kept = np.flatnonzero((block != 0) | np.signbit(block))  # -0.0 prints as -0.0
+            values = block[kept]
         # entry j of the block is zeros[4j:4j + 4]: a kept entry takes its
         # first three characters, and its separator stays with the next run
         cut = 4 * kept
         pieces = [""] * (2 * kept.size + 1)
         pieces[::2] = [zeros[a:b] for a, b in zip([0] + (cut + 3).tolist(),
-                                                  cut.tolist() + [4 * block.size])]
-        pieces[1::2] = map(repr, block[kept].tolist())
-        blocks.append("".join(pieces))
-    return "".join(blocks)
+                                                  cut.tolist() + [4 * (hi - lo) * n])]
+        pieces[1::2] = map(repr, values.tolist())
+        yield "".join(pieces)
 
 
 def array_from_csv(text: str) -> np.ndarray:
@@ -509,8 +630,9 @@ def array_from_csv(text: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def matrix_to_csv(P: StochasticMatrix) -> str:
-    return array_to_csv(P.entries)
+def matrix_to_csv(P: StochasticMatrix, out: TextIO | None = None) -> str | None:
+    """``array_to_csv`` of P's rows, from its CSR entries."""
+    return array_to_csv(P, out)
 
 
 def matrix_from_csv(text: str) -> StochasticMatrix:

@@ -8,18 +8,28 @@ validation error, 2 I/O error (missing or unreadable files).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import chains, ctmc, mapgraph, pipeline, profiles, svgplot
 
 
-def _write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _artifact(path: Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing (UTF-8, LF line endings) and report it once written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        yield fh
     print(f"wrote {path}")
+
+
+def _write(path: Path, text: str) -> None:
+    with _artifact(path) as fh:
+        fh.write(text)
 
 
 def _read(path: str) -> str:
@@ -79,7 +89,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"{v},{cid},{_fmt_value(report.closed[cid])},{report.periods[cid]}")
     _write(out / "classes.csv", "\n".join(lines) + "\n")
 
-    _write(out / "transition.csv", chains.matrix_to_csv(P))
+    with _artifact(out / "transition.csv") as fh:
+        chains.matrix_to_csv(P, fh)
 
     if report.irreducible:
         lines = ["vertex,probability"]
@@ -87,13 +98,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write(out / "stationary.csv", "\n".join(lines) + "\n")
         if g.n <= 50:
             H = chains.hitting_times(P, report.stationary)
-            _write(out / "hitting.csv", chains.array_to_csv(H))
-            _write(out / "commute.csv", chains.array_to_csv(H + H.T))
+            with _artifact(out / "hitting.csv") as fh:
+                chains.array_to_csv(H, fh)
+            with _artifact(out / "commute.csv") as fh:
+                chains.array_to_csv(H + H.T, fh)
     return 0
 
 
-def _read_distances(path: str) -> list[float]:
-    values = []
+def _table_rows(path: str | None, mode: str) -> list[profiles.ComparisonRow]:
+    """Comparison rows of a distances file (the built-in survey without one).
+
+    An error names the file line: a token that is not a number, or a
+    distance that is negative, not finite, or whose travel time overflows.
+    """
+    if path is None:
+        return profiles.comparison_table(profiles.SURVEY_DISTANCES_M, mode=mode)
+    lines, values = [], []
     for k, line in enumerate(_read(path).splitlines(), start=1):
         token = line.strip()
         if not token:
@@ -102,9 +122,18 @@ def _read_distances(path: str) -> list[float]:
             values.append(float(token))
         except ValueError:
             raise ValueError(f"distances file line {k}: not a number: {token!r}") from None
+        lines.append(k)
     if not values:
         raise ValueError("distances file contains no values")
-    return values
+    try:
+        return profiles.comparison_table(values, mode=mode)
+    except ValueError:
+        for k, d in zip(lines, values):  # find the line at fault
+            try:
+                profiles.comparison_table([d], mode=mode)
+            except ValueError as exc:
+                raise ValueError(f"distances file line {k}: {exc}") from None
+        raise
 
 
 def _table_svg(rows: list[profiles.ComparisonRow]) -> str:
@@ -120,8 +149,7 @@ def _table_svg(rows: list[profiles.ComparisonRow]) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    distances = _read_distances(args.distances)
-    rows = profiles.comparison_table(distances, mode=args.mode)
+    rows = _table_rows(args.distances, args.mode)
     out = Path(args.out_dir)
     _write(out / "walking_table.csv", profiles.table_to_csv(rows))
     _write(out / "walking_table.svg", _table_svg(rows))
@@ -133,24 +161,40 @@ def cmd_transient(args: argparse.Namespace) -> int:
     P = mapgraph.random_walk_matrix(g)
     chain = ctmc.UniformizedChain(jump_chain=P, rate=args.rate)
     out = Path(args.out_dir)
-    _write(out / "generator.csv", chains.array_to_csv(ctmc.generator(chain).entries))
+    with _artifact(out / "generator.csv") as fh:
+        chains.array_to_csv(ctmc.generator(chain).entries, fh)
     try:
         Pt = ctmc.transient(chain, args.time, tol=args.tolerance)
     except ctmc.PoissonWindowError as exc:
         raise ValueError(f"--tolerance {args.tolerance!r} cannot be met: {exc}") from exc
-    _write(out / "transient.csv", chains.matrix_to_csv(Pt))
+    with _artifact(out / "transient.csv") as fh:
+        chains.matrix_to_csv(Pt, fh)
     return 0
+
+
+def _walk_trace(args: argparse.Namespace, g: mapgraph.PathGraph, P: chains.StochasticMatrix,
+                profile: profiles.WalkingProfile) -> pipeline.Trace:
+    """The walk of --steps steps from --start, with --noise-sigma noise when it is > 0."""
+    if not (math.isfinite(args.noise_sigma) and args.noise_sigma >= 0):
+        raise ValueError(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma!r}")
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    try:
+        trace = pipeline.simulate_walk(g, P, profile, start=args.start, n_steps=args.steps,
+                                       seed=args.seed)
+    except MemoryError:
+        raise ValueError(f"--steps {args.steps}: a walk this long does not fit in memory") from None
+    if args.noise_sigma > 0:
+        trace = pipeline.add_noise(trace, args.noise_sigma, seed=args.seed + 1)
+    return trace
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     g = _load_graph(args.map)
     P = mapgraph.random_walk_matrix(g)
-    profile = _resolve_profile(args)
-    trace = pipeline.simulate_walk(g, P, profile, start=args.start, n_steps=args.steps,
-                                   seed=args.seed)
-    if args.noise_sigma > 0:
-        trace = pipeline.add_noise(trace, args.noise_sigma, seed=args.seed + 1)
-    _write(Path(args.out_dir) / "trace.csv", pipeline.trace_to_csv(trace))
+    trace = _walk_trace(args, g, P, _resolve_profile(args))
+    with _artifact(Path(args.out_dir) / "trace.csv") as fh:
+        pipeline.trace_to_csv(trace, fh)
     return 0
 
 
@@ -163,10 +207,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     if args.trace:
         trace = pipeline.trace_from_csv(_read(args.trace), profile_name=profile.name)
     else:
-        trace = pipeline.simulate_walk(g, P, profile, start=args.start, n_steps=args.steps,
-                                       seed=args.seed)
-        if args.noise_sigma > 0:
-            trace = pipeline.add_noise(trace, args.noise_sigma, seed=args.seed + 1)
+        trace = _walk_trace(args, g, P, profile)
 
     snapped = pipeline.snap(trace, g)
     smoothed = pipeline.smooth(trace, g, P, emission_sigma=args.emission_sigma)
@@ -221,7 +262,8 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     if blocked:
         held = pipeline.hold_on_obstacle(P, blocked)
-        _write(out / "held_transition.csv", chains.matrix_to_csv(held))
+        with _artifact(out / "held_transition.csv") as fh:
+            chains.matrix_to_csv(held, fh)
 
     delivery = {
         s.sink: {"delivered": s.delivered, "failed": s.failed} for s in report.sinks
@@ -231,9 +273,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    distances = (_read_distances(args.distances) if args.distances
-                 else list(profiles.SURVEY_DISTANCES_M))
-    rows = profiles.comparison_table(distances, mode=args.mode)
+    rows = _table_rows(args.distances, args.mode)
     out = Path(args.out_dir)
     _write(out / "walking_table.csv", profiles.table_to_csv(rows))
 

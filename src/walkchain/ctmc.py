@@ -235,6 +235,10 @@ def transient(chain: UniformizedChain, t: float, tol: float = DEFAULT_TAIL_TOL) 
         term = term @ P
         acc += w * term
     acc *= (math.fsum(weights) / acc.sum(axis=1))[:, None]
+    over = acc.sum(axis=1) > 1.0
+    while over.any():  # a mass within an ulp of 1 can scale a row to 1 + ulp: shave it
+        acc[over] *= 1.0 - sys.float_info.epsilon
+        over = acc.sum(axis=1) > 1.0
     return StochasticMatrix(acc, row_sum_tol=tol + 1e-12)
 
 

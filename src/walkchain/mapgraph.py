@@ -74,11 +74,15 @@ class PathGraph:
 
     Vertex ids are dense integers starting at 0 so they double as matrix and
     distribution indices. Edges are stored canonically as (a, b) with a < b.
+    The adjacency is held in CSR form: the neighbours of vertex i, in
+    ascending id, are ``indices[indptr[i]:indptr[i + 1]]`` of
+    ``adjacency()``.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...]
-    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _indptr: np.ndarray = field(init=False, repr=False)
+    _indices: np.ndarray = field(init=False, repr=False)
     _positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -101,17 +105,16 @@ class PathGraph:
             seen.add(e)
             canonical.append(e)
         canonical.sort()
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for a, b in canonical:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
         object.__setattr__(self, "edges", tuple(canonical))
-        # canonical is sorted, so every neighbour list comes out in ascending id
-        object.__setattr__(self, "_adjacency", tuple(map(tuple, adjacency)))
+        a, b = np.array(canonical, dtype=np.int64).reshape(-1, 2).T
+        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+        order = np.lexsort((dst, src))  # by vertex, then neighbour id
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         pos = np.array([[v.position.x, v.position.y] for v in self.vertices],
                        dtype=float).reshape(n, 2)
-        pos.flags.writeable = False
-        object.__setattr__(self, "_positions", pos)
+        for name, arr in (("_indptr", indptr), ("_indices", dst[order]), ("_positions", pos)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -121,13 +124,17 @@ class PathGraph:
         return len(self.neighbors(i))
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self._adjacency], dtype=int)
+        return np.diff(self._indptr)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Neighbours of vertex i in ascending id."""
         if not (0 <= i < self.n):
             raise ValueError(f"vertex {i} outside 0..{self.n - 1}")
-        return self._adjacency[i]
+        return tuple(self._indices[self._indptr[i]:self._indptr[i + 1]].tolist())
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR arrays (indptr, indices) of the neighbour lists."""
+        return self._indptr, self._indices
 
     def positions(self) -> np.ndarray:
         """Vertex positions as a read-only (n, 2) float array in id order."""
@@ -271,15 +278,15 @@ def degree_sum(g: PathGraph) -> int:
 
 
 def random_walk_matrix(g: PathGraph) -> StochasticMatrix:
-    """Transition matrix of the simple random walk: P[i][j] = 1/deg(i) on edges."""
+    """Transition matrix of the simple random walk: P[i][j] = 1/deg(i) on edges.
+
+    Its CSR rows are the graph's sorted neighbour lists.
+    """
     deg = g.degrees()
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:
         raise MapValidationError(
             f"isolated vertices {isolated.tolist()} have no outgoing transition"
         )
-    a, b = np.array(g.edges, dtype=int).reshape(-1, 2).T
-    P = np.zeros((g.n, g.n), dtype=float)
-    P[a, b] = 1.0 / deg[a]
-    P[b, a] = 1.0 / deg[b]
-    return StochasticMatrix(P)
+    indptr, indices = g.adjacency()
+    return StochasticMatrix.from_csr(indptr, indices, np.repeat(1.0 / deg, deg))

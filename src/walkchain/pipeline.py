@@ -15,11 +15,11 @@ import math
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .chains import StochasticMatrix, sample_path
+from .chains import StochasticMatrix, _join_or_write, sample_path
 from .mapgraph import LocalPoint, PathGraph
 from .profiles import WalkingProfile
 
@@ -200,28 +200,42 @@ def snap(tr: Trace, g: PathGraph) -> list[int]:
     """Memoryless decode: nearest vertex per fix, ties to the lowest id."""
     if g.n == 0:
         raise ValueError("graph has no vertices to snap to")
-    return [int(k) for k in np.argmin(_squared_distances(tr, g), axis=1)]
+    obs, pos = tr.positions(), g.positions()
+    return [int(k) for block in _fix_blocks(len(tr), g.n)
+            for k in np.argmin(_squared_distances(obs[block, None], pos), axis=1)]
 
 
-def _squared_distances(tr: Trace, g: PathGraph) -> np.ndarray:
-    """(m, n) squared distances from each fix to each vertex, with two m x n arrays at most.
+#: bytes of one block of per-vertex emission scores: the fixes are scored
+#: against every vertex this many bytes' worth at a time, so no m x n table exists
+_EMISSION_BLOCK_BYTES = 1 << 20
 
-    dx*dx + dy*dy has the bits of summing the (m, n, 2) squared differences
-    over their last axis: a sum of two terms is one addition.
+
+def _fix_blocks(m: int, n: int) -> Iterator[slice]:
+    """Slices of consecutive fixes, each scoring against n vertices within the byte budget."""
+    step = max(1, _EMISSION_BLOCK_BYTES // (8 * n))
+    return (slice(lo, min(lo + step, m)) for lo in range(0, m, step))
+
+
+def _squared_distances(obs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Squared distances between broadcast fix and vertex coordinates (last axis x, y).
+
+    ``obs[:, None]`` against ``pos`` gives the (m, n) table, equal-shaped
+    arrays one distance per row. dx*dx + dy*dy has the bits of summing the
+    stacked squared differences over their last axis: a sum of two terms is
+    one addition.
     """
-    pos = g.positions()
-    obs = tr.positions()
-    d2 = np.subtract.outer(obs[:, 0], pos[:, 0])
+    d2 = obs[..., 0] - pos[..., 0]
     d2 *= d2
-    dy = np.subtract.outer(obs[:, 1], pos[:, 1])
+    dy = obs[..., 1] - pos[..., 1]
     dy *= dy
     d2 += dy
     return d2
 
 
-def _log_emissions(tr: Trace, g: PathGraph, sigma: float) -> np.ndarray:
+def _log_emissions(obs: np.ndarray, pos: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian log emission scores -|obs - pos|^2 / (2 sigma^2), broadcast as in _squared_distances."""
     with np.errstate(over="ignore"):  # absurd fixes overflow to -inf and get caught
-        d2 = _squared_distances(tr, g)
+        d2 = _squared_distances(obs, pos)
         d2 /= -(2.0 * sigma * sigma)  # the bits of -d2 / (2 sigma^2): division is sign-symmetric
         return d2
 
@@ -233,6 +247,9 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
     over the first state and emission density proportional to
     exp(-|fix - vertex|^2 / (2 sigma^2)). Each stage maximizes over the
     predecessors of every state only, O(n * d) for largest in-degree d.
+    Emission scores are computed for a block of fixes at a time, and the
+    back-pointers hold the winning predecessor's slot, in the smallest
+    unsigned type that fits d, so memory is O(n * d) plus m * n slots.
     Stage-wise ties resolve to the lower vertex id. Raises TrellisError when
     every sequence has zero probability.
     """
@@ -241,31 +258,35 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
     if not (math.isfinite(emission_sigma) and emission_sigma > 0):
         raise ValueError(f"emission_sigma must be finite and > 0, got {emission_sigma!r}")
     m, n = len(tr), g.n
-    log_em = _log_emissions(tr, g, emission_sigma)
-    # Predecessor table: row v lists the states u with P[u, v] > 0 in
-    # ascending id, padded to the largest in-degree with the sentinel state n,
-    # whose score stays -inf.
-    dst, src = np.nonzero(P.entries.T)
+    # Predecessor table from the transpose of P: row v lists the states u
+    # with P[u, v] > 0 in ascending id, padded to the largest in-degree with
+    # the sentinel state n, whose score stays -inf.
+    keep = P.data > 0
+    order = np.argsort(P.indices[keep], kind="stable")  # rows ascend within each column
+    src, dst, w = P.rows()[keep][order], P.indices[keep][order], P.data[keep][order]
     indeg = np.bincount(dst, minlength=n)
     slot = np.arange(dst.size) - np.repeat(np.cumsum(indeg) - indeg, indeg)
     pred = np.full((n, int(indeg.max())), n)
     pred[dst, slot] = src
     log_w = np.full(pred.shape, -np.inf)
-    log_w[dst, slot] = np.log(P.entries[src, dst])
+    log_w[dst, slot] = np.log(w)
     rows = np.arange(n)
     delta = np.full(n + 1, -np.inf)
-    delta[:n] = log_em[0]  # uniform prior contributes a constant; omitted
-    back = np.zeros((m, n), dtype=int)
+    back = np.zeros((m, n), dtype=np.min_scalar_type(pred.shape[1] - 1))
+    obs, pos = tr.positions(), g.positions()
+    log_em = (row for block in _fix_blocks(m, n)
+              for row in _log_emissions(obs[block, None], pos, emission_sigma))
+    delta[:n] = next(log_em)  # uniform prior contributes a constant; omitted
     if np.max(delta) == -np.inf:
         raise TrellisError(
             "no state has positive probability at fix 0; widen emission_sigma "
             "or augment the chain with self-loops"
         )
-    for k in range(1, m):
+    for k, em in enumerate(log_em, start=1):
         cand = delta[pred] + log_w
         j = np.argmax(cand, axis=1)  # first max slot = lowest predecessor id
-        back[k] = pred[rows, j]
-        delta[:n] = cand[rows, j] + log_em[k]
+        back[k] = j
+        delta[:n] = cand[rows, j] + em
         if np.max(delta) == -np.inf:
             raise TrellisError(
                 f"no positive-probability path survives to fix {k}; widen "
@@ -273,7 +294,7 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
             )
     seq = [int(np.argmax(delta))]
     for k in range(m - 1, 0, -1):
-        seq.append(int(back[k][seq[-1]]))
+        seq.append(int(pred[seq[-1], back[k, seq[-1]]]))
     seq.reverse()
     return seq
 
@@ -284,13 +305,27 @@ def sequence_log_score(
     """Joint log score (up to shared constants) of a state sequence for a trace."""
     if len(seq) != len(tr):
         raise ValueError(f"sequence length {len(seq)} != trace length {len(tr)}")
-    log_em = _log_emissions(tr, g, emission_sigma)
+    if P.n != g.n:
+        raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
     states = np.asarray(seq, dtype=int)
+    bad = np.flatnonzero((states < 0) | (states >= g.n))
+    if bad.size:
+        raise ValueError(f"fix {bad[0]}: state {states[bad[0]]} outside 0..{g.n - 1}")
+    log_em = _log_emissions(tr.positions(), g.positions()[states], emission_sigma)
+    # P[a, b] of each step, looked up by row-major position a * n + b, in
+    # which order the stored entries already are
+    key = P.rows() * P.n + P.indices
+    step = states[:-1] * P.n + states[1:]
+    at = np.searchsorted(key, step)
+    stored = at < key.size
+    stored[stored] = key[at[stored]] == step[stored]
+    p = np.zeros(step.size)
+    p[stored] = P.data[at[stored]]
     with np.errstate(divide="ignore"):
-        log_steps = np.log(P.entries[states[:-1], states[1:]])
-    score = float(log_em[0, seq[0]])
+        log_steps = np.log(p)
+    score = float(log_em[0])
     for k in range(1, len(seq)):
-        score += float(log_steps[k - 1]) + float(log_em[k, seq[k]])
+        score += float(log_steps[k - 1]) + float(log_em[k])
     return score
 
 
@@ -315,15 +350,26 @@ def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> floa
 # obstacles
 
 def hold_on_obstacle(P: StochasticMatrix, blocked: Iterable[int]) -> StochasticMatrix:
-    """Replace each blocked state's row with a self-loop; other rows untouched."""
+    """Replace each blocked state's row with a self-loop; other rows untouched.
+
+    The CSR rows of the blocked states become one stored 1.0 on the diagonal.
+    """
     blocked = sorted(set(int(b) for b in blocked))
     for b in blocked:
         if not (0 <= b < P.n):
             raise ValueError(f"blocked state {b} outside 0..{P.n - 1}")
-    rows = np.array(blocked, dtype=int)
-    M = np.array(P.entries)
-    M[rows] = rows[:, None] == np.arange(P.n)
-    return StochasticMatrix(M, row_sum_tol=P.row_sum_tol)
+    held = np.array(blocked, dtype=np.int64)
+    rows = P.rows()
+    kept = ~np.isin(rows, held)
+    # stored entries of the other rows, then one self-loop per held row, put
+    # back in row order (a stable sort keeps each row's columns ascending)
+    r = np.concatenate((rows[kept], held))
+    order = np.argsort(r, kind="stable")
+    return StochasticMatrix.from_csr(
+        np.concatenate(([0], np.cumsum(np.bincount(r, minlength=P.n)))),
+        np.concatenate((P.indices[kept], held))[order],
+        np.concatenate((P.data[kept], np.ones(held.size)))[order],
+        row_sum_tol=P.row_sum_tol)
 
 
 def detect(
@@ -404,10 +450,10 @@ class WebhookSink:
         body = json.dumps(
             {"t_s": ev.t, "kind": ev.kind, "distance_m": ev.distance, "message": ev.message}
         ).encode("utf-8")
-        req = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}, method="POST"
-        )
-        try:
+        try:  # a malformed URL fails in Request: a failed delivery too
+            req = urllib.request.Request(
+                self.url, data=body, headers={"Content-Type": "application/json"}, method="POST"
+            )
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 return 200 <= resp.status < 300
         except (urllib.error.URLError, http.client.HTTPException, OSError, ValueError):
@@ -462,20 +508,35 @@ def dispatch(events: Sequence[AlertEvent], sinks: Sequence) -> DeliveryReport:
 _TRACE_COLUMNS = ("t_s", "x_m", "y_m", "truth_vertex")
 
 
-def trace_to_csv(tr: Trace) -> str:
+#: trace rows formatted per written block
+_TRACE_BLOCK = 1 << 12
+
+
+def trace_to_csv(tr: Trace, out: TextIO | None = None) -> str | None:
     """Trace as CSV: t_s,x_m,y_m plus truth_vertex when any fix carries truth.
 
-    A fix without truth leaves its truth_vertex field empty.
+    A fix without truth leaves its truth_vertex field empty. Rows are
+    formatted ``_TRACE_BLOCK`` at a time; with an open text handle ``out``
+    each block is written as it is made and None is returned, otherwise the
+    whole text is.
     """
-    t, x, y = tr.t.tolist(), tr.xy[:, 0].tolist(), tr.xy[:, 1].tolist()
+    return _join_or_write(_trace_csv_blocks(tr), out)
+
+
+def _trace_csv_blocks(tr: Trace) -> Iterator[str]:
     missing = tr.truth == NO_TRUTH
-    if missing.all():
-        return "t_s,x_m,y_m\n" + "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t, x, y)])
-    truth = tr.truth.tolist()
-    for k in np.flatnonzero(missing).tolist():
-        truth[k] = ""
-    return "t_s,x_m,y_m,truth_vertex\n" + "".join(
-        [f"{a!r},{b!r},{c!r},{v}\n" for a, b, c, v in zip(t, x, y, truth)])
+    with_truth = not missing.all()
+    yield "t_s,x_m,y_m,truth_vertex\n" if with_truth else "t_s,x_m,y_m\n"
+    for lo in range(0, len(tr), _TRACE_BLOCK):
+        rows = slice(lo, lo + _TRACE_BLOCK)
+        t, x, y = tr.t[rows].tolist(), tr.xy[rows, 0].tolist(), tr.xy[rows, 1].tolist()
+        if not with_truth:
+            yield "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t, x, y)])
+            continue
+        truth = tr.truth[rows].tolist()
+        for k in np.flatnonzero(missing[rows]).tolist():
+            truth[k] = ""
+        yield "".join([f"{a!r},{b!r},{c!r},{v}\n" for a, b, c, v in zip(t, x, y, truth)])
 
 
 def _truth_id(token: str) -> int:

@@ -91,8 +91,12 @@ def travel_time(profile: WalkingProfile, distance: float, mode: str = MODE_EXACT
     if not (math.isfinite(distance) and distance >= 0):
         raise ValueError(f"distance must be finite and >= 0, got {distance!r}")
     if mode == MODE_PAPER_ROUNDED and profile.rounded_pace is not None:
-        return profile.rounded_pace * distance
-    return distance / profile.speed
+        time = profile.rounded_pace * distance
+    else:
+        time = distance / profile.speed
+    if math.isinf(time):
+        raise ValueError(f"travel time over {distance!r} m overflows")
+    return time
 
 
 def distance_of_steps(profile: WalkingProfile, steps: float) -> float:

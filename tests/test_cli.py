@@ -462,3 +462,56 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "-1"])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, tmp_path, line_map, capsys,
+                                                         command, sigma):
+        out = tmp_path / "out"
+        rc = main([command, "--map", line_map, "--steps", "5", f"--noise-sigma={sigma}",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --noise-sigma") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_steps_beyond_memory_names_the_flag(self, tmp_path, line_map, capsys, command):
+        # 10^12 steps fail at the first allocation, so nothing large is ever held
+        out = tmp_path / "out"
+        rc = main([command, "--map", line_map, "--steps", str(10**12), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --steps 1000000000000") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_steps_name_the_flag(self, tmp_path, line_map, capsys):
+        rc = main(["simulate", "--map", line_map, "--steps", "-1",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --steps must be >= 0")
+
+    def test_malformed_webhook_url_is_a_failed_delivery(self, tmp_path, line_map):
+        out = tmp_path / "out"
+        rc = main(["track", "--map", line_map, "--steps", "5", "--out-dir", str(out),
+                   "--webhook", "notaurl"])
+        assert rc == 0  # dispatch records sink failures and never raises them
+        delivery = json.loads((out / "delivery.json").read_text())
+        assert delivery["webhook:notaurl"] == {"delivered": 0, "failed": 1}
+        assert (out / "alerts.log").read_text().count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["table", "report"])
+    @pytest.mark.parametrize("text, named", [
+        ("5.0\n-3\n", "line 2: distance must be finite and >= 0, got -3.0"),
+        ("5.0\n\ninf\n", "line 3: distance must be finite and >= 0, got inf"),
+        ("1e308\n", "line 1: travel time over 1e+308 m overflows"),
+    ], ids=["negative", "infinite", "overflowing_time"])
+    def test_distance_errors_name_the_line(self, tmp_path, capsys, command, text, named):
+        distances = tmp_path / "d.txt"
+        distances.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main([command, "--distances", str(distances), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: distances file {named}\n"
+        assert not out.exists()

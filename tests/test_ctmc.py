@@ -269,6 +269,13 @@ class TestWindowedTransient:
         sums = got.sum(axis=1)
         assert np.all(sums >= 1.0 - tol) and np.all(sums <= 1.0)
 
+    def test_rows_never_sum_above_one(self):
+        # the window mass rounds to 1 here, and scaling to it left row 1 at 1 + ulp
+        P = StochasticMatrix(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        for t in (1e-9, 1e-12, 1e-6):
+            sums = transient(UniformizedChain(P, 4.0), t, tol=1e-13).entries.sum(axis=1)
+            assert np.all(sums <= 1.0) and np.all(sums >= 1.0 - 1e-13)
+
     @given(connected_graphs(max_n=8), st.floats(0.0, 4.0), _TOLS)
     @settings(max_examples=60)
     def test_matches_closed_form_on_walk_graphs(self, g, log_mu, tol):

@@ -858,9 +858,9 @@ class TestDistances:
         obs, pos = tr.positions(), g.positions()
         with np.errstate(over="ignore"):
             d2 = ((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-            assert pipeline._squared_distances(tr, g).tobytes() == d2.tobytes()
+            assert pipeline._squared_distances(obs[:, None], pos).tobytes() == d2.tobytes()
             assert snap(tr, g) == [int(k) for k in np.argmin(d2, axis=1)]
-        assert (pipeline._log_emissions(tr, g, sigma).tobytes()
+        assert (pipeline._log_emissions(obs[:, None], pos, sigma).tobytes()
                 == _dense_log_em(tr, g, sigma).tobytes())
 
     def test_no_stacked_coordinate_array(self):
@@ -870,7 +870,8 @@ class TestDistances:
         tr = Trace(t=np.arange(1500, dtype=float),
                    xy=[rng.uniform(0.0, 19.0, 2) for k in range(1500)])
         result = len(tr) * g.n * 8
-        for decode in (lambda: snap(tr, g), lambda: pipeline._log_emissions(tr, g, 1.0)):
+        for decode in (lambda: snap(tr, g),
+                       lambda: pipeline._log_emissions(tr.positions()[:, None], g.positions(), 1.0)):
             tracemalloc.start()
             try:
                 decode()
