@@ -8,7 +8,6 @@ come from direct linear algebra, never from iteration to convergence.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -46,12 +45,6 @@ def _validated_square(entries, name: str) -> np.ndarray:
     return arr
 
 
-def _check_row_sums(sums: np.ndarray, tol: float) -> None:
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
-    if bad.size:
-        raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, outside 1 +/- {tol}")
-
-
 class StochasticMatrix:
     """Row-stochastic transition matrix over states 0..n-1, held in CSR form.
 
@@ -72,15 +65,16 @@ class StochasticMatrix:
     __slots__ = ("indptr", "indices", "data", "row_sum_tol", "_entries")
 
     def __init__(self, entries, row_sum_tol: float = ROW_SUM_TOL):
-        arr = _validated_square(entries, "transition matrix")
-        if np.any(arr < 0):
-            i, j = np.argwhere(arr < 0)[0]
-            raise ValueError(f"negative transition probability at ({i}, {j}): {arr[i, j]!r}")
-        _check_row_sums(arr.sum(axis=1), row_sum_tol)
+        arr = np.asarray(entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"transition matrix must be a square 2-D array, got shape {arr.shape}")
         rows, cols = np.nonzero((arr != 0) | np.signbit(arr))  # -0.0 prints as -0.0
+        data = arr[rows, cols]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=arr.shape[0]))))
         # cols is a strided view of one buffer it shares with rows: keep a compact copy
-        self._init(indptr, np.ascontiguousarray(cols), arr[rows, cols], row_sum_tol, arr)
+        indices = np.ascontiguousarray(cols)
+        del arr, rows, cols  # the dense array, when made here, is freed before the checks
+        self._init(indptr, indices, data, row_sum_tol)
 
     @classmethod
     def from_csr(cls, indptr, indices, data, row_sum_tol: float = ROW_SUM_TOL) -> StochasticMatrix:
@@ -89,9 +83,18 @@ class StochasticMatrix:
         Columns must ascend strictly within each row. Stored +0.0 entries
         are dropped. Each row is summed over its stored entries in order.
         """
-        indptr = np.array(indptr, dtype=np.int64)
-        indices = np.array(indices, dtype=np.int64)
-        data = np.array(data, dtype=float)
+        P = cls.__new__(cls)
+        P._init(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+                np.array(data, dtype=float), row_sum_tol)
+        return P
+
+    def _init(self, indptr, indices, data, row_sum_tol) -> None:
+        """Validate CSR arrays as a transition matrix and hold them, stored +0.0 dropped.
+
+        Checks the structure, then that entries are finite and non-negative and
+        that each row, summed over its stored entries in order, is within
+        ``row_sum_tol`` of 1. The arrays are held as given, never copied.
+        """
         if indptr.ndim != 1 or indptr.size < 2:
             raise ValueError("transition matrix must have at least one state")
         n = indptr.size - 1
@@ -112,22 +115,19 @@ class StochasticMatrix:
             k = neg[0]
             raise ValueError(f"negative transition probability at ({rows[k]}, {indices[k]}): "
                              f"{data[k]!r}")
-        _check_row_sums(np.bincount(rows, weights=data, minlength=n), row_sum_tol)
+        sums = np.bincount(rows, weights=data, minlength=n)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > row_sum_tol)
+        if bad.size:
+            raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, outside 1 +/- {row_sum_tol}")
         keep = (data != 0) | np.signbit(data)
         if not keep.all():
             indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
             indices, data = indices[keep], data[keep]
-        P = cls.__new__(cls)
-        P._init(indptr, indices, data, row_sum_tol, None)
-        return P
-
-    def _init(self, indptr, indices, data, row_sum_tol, dense) -> None:
-        for name, value in (("indptr", indptr), ("indices", indices), ("data", data),
-                            ("_entries", dense)):
-            if value is not None:
-                value.flags.writeable = False
+        for name, value in (("indptr", indptr), ("indices", indices), ("data", data)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "row_sum_tol", row_sum_tol)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"StochasticMatrix is immutable; cannot set {name!r}")
@@ -261,10 +261,11 @@ def _successors(P: StochasticMatrix, reverse: bool = False) -> list[list[int]]:
     return [dst[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _communicating_classes(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components by iterative Tarjan, each sorted, ordered by smallest member."""
+def _communicating_classes(succ: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """SCCs by iterative Tarjan (each sorted, ordered by smallest member) and DFS forest depths."""
     n = len(succ)
     index = [-1] * n
+    depth = [0] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
@@ -285,6 +286,7 @@ def _communicating_classes(succ: list[list[int]]) -> list[list[int]]:
                 v = succ[u][i]
                 if index[v] < 0:
                     index[v] = low[v] = counter
+                    depth[v] = depth[u] + 1
                     counter += 1
                     stack.append(v)
                     on_stack[v] = True
@@ -306,32 +308,29 @@ def _communicating_classes(succ: list[list[int]]) -> list[list[int]]:
                         break
                 classes.append(sorted(members))
     classes.sort(key=lambda c: c[0])
-    return classes
+    return classes, depth
 
 
-def _class_period(succ: list[list[int]], members: list[int], class_of: list[int]) -> int:
-    """gcd of cycle lengths through the class, via BFS level differences.
+def _class_structure(P: StochasticMatrix) -> tuple[list[list[int]], tuple, tuple]:
+    """Communicating classes, their closure and periods, from one Tarjan pass.
 
-    Returns 0 when the class supports no cycle at all (transient singleton).
+    Each class is a subtree of the DFS forest, so its period is the gcd of
+    depth[u] + 1 - depth[v] over its edges (u, v), as with BFS levels; 0 for
+    a class with no inside edge. A class is closed when no edge leaves it.
     """
-    cid = class_of[members[0]]
-    level = {members[0]: 0}
-    frontier = [members[0]]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in succ[u]:
-                if class_of[v] == cid and v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    # every intra-class edge closes a (possibly trivial) cycle against the BFS tree
-    g = 0
-    for u in members:
-        for v in succ[u]:
-            if class_of[v] == cid:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return g
+    classes, depth = _communicating_classes(_successors(P))
+    class_of = np.empty(P.n, dtype=np.int64)
+    for cid, members in enumerate(classes):
+        class_of[members] = cid
+    depth = np.array(depth)
+    keep = P.data > 0
+    src, dst = P.rows()[keep], P.indices[keep]
+    cid = class_of[src]
+    inside = cid == class_of[dst]
+    periods = np.zeros(len(classes), dtype=np.int64)
+    np.gcd.at(periods, cid[inside], depth[src[inside]] + 1 - depth[dst[inside]])
+    closed = np.bincount(cid[~inside], minlength=len(classes)) == 0
+    return classes, tuple(closed.tolist()), tuple(periods.tolist())
 
 
 def stationary_distribution(P: StochasticMatrix,
@@ -344,7 +343,7 @@ def stationary_distribution(P: StochasticMatrix,
     classes when the caller already has them.
     """
     if classes is None:
-        classes = _communicating_classes(_successors(P))
+        classes = _communicating_classes(_successors(P))[0]
     if len(classes) != 1:
         raise ValueError(
             f"chain is reducible ({len(classes)} communicating classes); "
@@ -398,10 +397,9 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
     and at most three n x n arrays besides P.
     """
     if stationary is None or period is None:
-        succ = _successors(P)
-        classes = _communicating_classes(succ)
+        classes, _, periods = _class_structure(P)
         stationary = stationary_distribution(P, classes)
-        period = _class_period(succ, classes[0], [0] * P.n)
+        period = periods[0]
     if cap < 1 or (period > 1 and eps < 0.5):
         return None
     pi = stationary.probs[None, :]
@@ -438,18 +436,10 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
 def analyze(P: StochasticMatrix) -> ChainAnalysis:
     """Full structural report: classes, closure, periods, stationary behavior.
 
-    The classes are found once and reused for closure, periods, the
-    stationary solve and the mixing-time search.
+    The classes, closure and periods come from one class computation,
+    reused by the stationary solve and the mixing-time search.
     """
-    succ = _successors(P)
-    classes = _communicating_classes(succ)
-    class_of = [0] * P.n
-    for cid, members in enumerate(classes):
-        for u in members:
-            class_of[u] = cid
-    closed = tuple(all(class_of[v] == cid for u in members for v in succ[u])
-                   for cid, members in enumerate(classes))
-    periods = tuple(_class_period(succ, members, class_of) for members in classes)
+    classes, closed, periods = _class_structure(P)
     irreducible = len(classes) == 1
     stationary = rate = t_mix = None
     if irreducible:

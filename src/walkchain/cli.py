@@ -105,14 +105,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(path: str | None, mode: str) -> list[profiles.ComparisonRow]:
-    """Comparison rows of a distances file (the built-in survey without one).
+def _table_rows(path: str | None, mode: str) -> tuple[list[profiles.ComparisonRow], list[int]]:
+    """Comparison rows of a distances file and the file line of each row.
 
-    An error names the file line: a token that is not a number, or a
-    distance that is negative, not finite, or whose travel time overflows.
+    Without a file: the built-in survey, with no lines. An error names the file
+    line: a token that is not a number, or a distance that is negative, not
+    finite, or whose travel time overflows.
     """
     if path is None:
-        return profiles.comparison_table(profiles.SURVEY_DISTANCES_M, mode=mode)
+        return profiles.comparison_table(profiles.SURVEY_DISTANCES_M, mode=mode), []
     lines, values = [], []
     for k, line in enumerate(_read(path).splitlines(), start=1):
         token = line.strip()
@@ -126,7 +127,7 @@ def _table_rows(path: str | None, mode: str) -> list[profiles.ComparisonRow]:
     if not values:
         raise ValueError("distances file contains no values")
     try:
-        return profiles.comparison_table(values, mode=mode)
+        return profiles.comparison_table(values, mode=mode), lines
     except ValueError:
         for k, d in zip(lines, values):  # find the line at fault
             try:
@@ -149,7 +150,7 @@ def _table_svg(rows: list[profiles.ComparisonRow]) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(args.distances, args.mode)
+    rows, _ = _table_rows(args.distances, args.mode)
     out = Path(args.out_dir)
     _write(out / "walking_table.csv", profiles.table_to_csv(rows))
     _write(out / "walking_table.svg", _table_svg(rows))
@@ -180,12 +181,17 @@ def _walk_trace(args: argparse.Namespace, g: mapgraph.PathGraph, P: chains.Stoch
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
     try:
+        if args.steps > sys.maxsize // 8:  # numpy rejects a draw of more bytes outright
+            raise MemoryError
         trace = pipeline.simulate_walk(g, P, profile, start=args.start, n_steps=args.steps,
                                        seed=args.seed)
     except MemoryError:
         raise ValueError(f"--steps {args.steps}: a walk this long does not fit in memory") from None
     if args.noise_sigma > 0:
-        trace = pipeline.add_noise(trace, args.noise_sigma, seed=args.seed + 1)
+        try:
+            trace = pipeline.add_noise(trace, args.noise_sigma, seed=args.seed + 1)
+        except ValueError as exc:  # noise so wide that fixes leave the float range
+            raise ValueError(f"--noise-sigma {args.noise_sigma!r}: {exc}") from None
     return trace
 
 
@@ -205,7 +211,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
 
     if args.trace:
-        trace = pipeline.trace_from_csv(_read(args.trace), profile_name=profile.name)
+        text = _read(args.trace)
+        trace = pipeline.trace_from_csv(text, profile_name=profile.name)
     else:
         trace = _walk_trace(args, g, P, profile)
 
@@ -215,6 +222,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     # before any artifact is written: this validates the trace's truth vertices
     errors = ["method,mean_error_m"]
     has_truth = trace.has_truth()
+    if has_truth and args.trace:  # name the file line of a truth vertex off the map
+        for (k, _), v in zip(pipeline.numbered_lines(text)[1:], trace.truth.tolist()):
+            if not 0 <= v < g.n:
+                raise ValueError(f"trace line {k}: truth_vertex {v} outside 0..{g.n - 1}")
     if has_truth:
         errors.append(f"snap,{pipeline.localization_error(snapped, trace, g)!r}")
         errors.append(f"smooth,{pipeline.localization_error(smoothed, trace, g)!r}")
@@ -273,7 +284,15 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = _table_rows(args.distances, args.mode)
+    rows, lines = _table_rows(args.distances, args.mode)
+    cum_d, cum_n, cum_b = [0.0], [0.0], [0.0]
+    for r in rows:
+        cum_d.append(cum_d[-1] + r.distance)
+        cum_n.append(cum_n[-1] + r.normal_time)
+        cum_b.append(cum_b[-1] + r.blind_time)
+    if math.isinf(cum_b[-1]):  # the largest column: blind >= normal, and >= distance at 4.66 s/m
+        raise ValueError(f"distances file line {lines[cum_b.index(math.inf) - 1]}: "
+                         "running blind time total overflows")
     out = Path(args.out_dir)
     _write(out / "walking_table.csv", profiles.table_to_csv(rows))
 
@@ -285,12 +304,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         ylabel="distance (m)",
     ))
     _write(out / "travel_times.svg", _table_svg(rows))
-
-    cum_d, cum_n, cum_b = [0.0], [0.0], [0.0]
-    for r in rows:
-        cum_d.append(cum_d[-1] + r.distance)
-        cum_n.append(cum_n[-1] + r.normal_time)
-        cum_b.append(cum_b[-1] + r.blind_time)
     _write(out / "walk_progress.svg", svgplot.line_plot(
         [("normal", cum_n, cum_d), ("blind", cum_b, cum_d)],
         title="Cumulative progress along the full route",
@@ -307,8 +320,14 @@ def _add_mode(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
     common.add_argument("--out-dir", default=".", help="directory for written artifacts")
+    walk = argparse.ArgumentParser(add_help=False, parents=[common])  # simulate and track
+    walk.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
+    walk.add_argument("--map", required=True, help="path to a JSON map document")
+    walk.add_argument("--start", type=int, default=0)
+    walk.add_argument("--steps", type=int, default=100)
+    walk.add_argument("--profile-config", default=None, help="JSON profile config path")
+    walk.add_argument("--noise-sigma", type=float, default=0.0, help="Gaussian fix noise (m)")
 
     parser = argparse.ArgumentParser(
         prog="walkchain",
@@ -336,24 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Poisson tail mass left out of the series")
     p.set_defaults(func=cmd_transient)
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate a walk trace")
-    p.add_argument("--map", required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100)
+    # each declares its own --profile: parents share Action objects, and so their defaults
+    p = sub.add_parser("simulate", parents=[walk], help="simulate a walk trace")
     p.add_argument("--profile", default="normal", help="built-in profile name")
-    p.add_argument("--profile-config", default=None, help="JSON profile config path")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="Gaussian fix noise (m)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("track", parents=[common],
+    p = sub.add_parser("track", parents=[walk],
                        help="full pipeline: decode a trace, scan obstacles, send alerts")
-    p.add_argument("--map", required=True)
+    p.add_argument("--profile", default="blind", help="built-in profile name")
     p.add_argument("--trace", default=None, help="trace CSV (otherwise simulate one)")
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--profile", default="blind")
-    p.add_argument("--profile-config", default=None)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--emission-sigma", type=float, default=1.0,
                    help="smoothing emission scale (m)")
     p.add_argument("--safer-distance", type=float, default=pipeline.DEFAULT_SAFER_DISTANCE_M,

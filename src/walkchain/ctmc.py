@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import StochasticMatrix
+from .chains import StochasticMatrix, _validated_square
 
 DEFAULT_TAIL_TOL = 1e-9
 # floats cannot certify tails below ~1e-16; keep a safe margin
@@ -31,11 +31,7 @@ class GeneratorMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"generator must be a square 2-D array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("generator entries must be finite")
+        arr = _validated_square(self.entries, "generator")
         off = arr.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
@@ -224,11 +220,8 @@ def transient(chain: UniformizedChain, t: float, tol: float = DEFAULT_TAIL_TOL) 
     within rounding, so to a value in [1 - tol, 1]: the deficit is left in
     place rather than renormalized, so the truncation error stays visible.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    _check_tol(tol)
+    left, weights = poisson_window(chain.rate, t, tol)  # checks t and tol
     P = chain.jump_chain.entries
-    left, weights = poisson_window(chain.rate, t, tol)
     term = np.linalg.matrix_power(P, left)
     acc = weights[0] * term
     for w in weights[1:]:

@@ -255,8 +255,9 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
     """
     if P.n != g.n:
         raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
-    if not (math.isfinite(emission_sigma) and emission_sigma > 0):
-        raise ValueError(f"emission_sigma must be finite and > 0, got {emission_sigma!r}")
+    if not (0 < emission_sigma < math.inf and 2.0 * emission_sigma * emission_sigma > 0):
+        raise ValueError(f"emission_sigma must be finite and > 0, and 2 sigma^2 must not "
+                         f"underflow to 0, got {emission_sigma!r}")
     m, n = len(tr), g.n
     # Predecessor table from the transpose of P: row v lists the states u
     # with P[u, v] > 0 in ascending id, padded to the largest in-degree with
@@ -562,12 +563,17 @@ def _check_trace_fields(k: int, parts: list[str], with_truth: bool) -> None:
                              f"got {parts[3]!r}") from None
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a trace CSV (header first) with their numbers, counted from 1."""
+    return [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
 def trace_from_csv(text: str, profile_name: str = "") -> Trace:
-    """Parse a trace CSV; errors name the line (counted from 1, blank lines too) and field.
+    """Parse a trace CSV; errors name the line of ``numbered_lines`` and the field.
 
     An empty or missing truth_vertex field marks a fix without truth.
     """
-    numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    numbered = numbered_lines(text)
     if not numbered:
         raise ValueError("trace file is empty")
     header = [h.strip() for h in numbered[0][1].split(",")]

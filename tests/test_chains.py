@@ -493,6 +493,91 @@ class TestReferenceOracles:
             assert mixing_time(P, cap=cap) == _reference_mixing_time(P, 0.25, cap)[0]
 
 
+def _parent_class_period(succ: list[list[int]], members: list[int], class_of: list[int]) -> int:
+    """gcd of cycle lengths through the class, via BFS level differences (0 with no cycle)."""
+    cid = class_of[members[0]]
+    level = {members[0]: 0}
+    frontier = [members[0]]
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            for v in succ[u]:
+                if class_of[v] == cid and v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in members:
+        for v in succ[u]:
+            if class_of[v] == cid:
+                g = math.gcd(g, level[u] + 1 - level[v])
+    return g
+
+
+def _bfs_structure(P: StochasticMatrix, classes):
+    """Closure and periods of ``classes`` by a per-class BFS and a loop over every edge."""
+    succ = [np.flatnonzero(row > 0).tolist() for row in P.entries]
+    class_of = [0] * P.n
+    for cid, members in enumerate(classes):
+        for u in members:
+            class_of[u] = cid
+    closed = tuple(all(class_of[v] == cid for u in members for v in succ[u])
+                   for cid, members in enumerate(classes))
+    periods = tuple(_parent_class_period(succ, list(members), class_of) for members in classes)
+    return closed, periods
+
+
+@st.composite
+def _digraph_chains(draw, max_n: int = 13) -> StochasticMatrix:
+    """Uniform walks on digraphs: disjoint directed cycles (self-loops among them),
+    random extra edges, and one drawn edge for each state left without any.
+    """
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5))) if n > 1 else []
+    edges = set()
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        if draw(st.booleans()):
+            block = order[a:b]
+            edges.update(zip(block, block[1:] + block[:1]))
+    edges.update(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=n)))
+    for u in range(n):
+        if not any(a == u for a, _ in edges):
+            edges.add((u, draw(st.integers(0, n - 1))))
+    A = np.zeros((n, n))
+    A[tuple(np.array(sorted(edges)).T)] = 1.0
+    return StochasticMatrix(A / A.sum(axis=1, keepdims=True))
+
+
+class TestClassStructureFromTarjan:
+    """Closure and periods from Tarjan's DFS depths equal the per-class BFS they replace."""
+
+    @given(_digraph_chains())
+    @settings(max_examples=300)
+    def test_matches_bfs_periods_and_closure_loop(self, P):
+        a = analyze(P)
+        assert (a.classes, a.closed, a.periods) == _reference_structure(P)
+        assert (a.closed, a.periods) == _bfs_structure(P, a.classes)
+
+    @given(_digraph_chains(max_n=9))
+    @settings(max_examples=100)
+    def test_mixing_time_fallback_uses_the_same_period(self, P):
+        assume(_irreducible(P))
+        a = analyze(P)
+        assert mixing_time(P) == mixing_time(P, stationary=a.stationary, period=a.periods[0])
+        assert a.mixing_time == mixing_time(P)
+
+    def test_depths_off_the_bfs_levels(self):
+        # DFS from 0 reaches 2 by 0 -> 1 -> 2 (depth 2) although 0 -> 2 is an edge:
+        # the cycle lengths 3 and 2 still give period 1, and 3 -> 4 <-> 5 a closed pair
+        P = _sm([[0, 0.5, 0.5, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0.5, 0, 0, 0.5, 0, 0],
+                 [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0]])
+        a = analyze(P)
+        assert a.classes == ((0, 1, 2), (3,), (4, 5))
+        assert a.closed == (False, False, True) and a.periods == (1, 0, 2)
+
+
 class TestSamplePath:
     def test_deterministic_cycle(self):
         P = _sm([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

@@ -366,6 +366,17 @@ class TestReport:
         for name in ("segment_distances.svg", "travel_times.svg", "walk_progress.svg"):
             ET.fromstring((out / name).read_text())
 
+    def test_overflowing_running_total_exits_1_before_writing(self, tmp_path, capsys):
+        # each line is within travel_time's range; the blind time total overflows at line 4
+        dist = tmp_path / "big.txt"
+        dist.write_text("1e307\n" * 10, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["report", "--distances", str(dist), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "distances file line 4: running blind time total overflows" in err
+        assert not out.exists()
+        assert main(["table", "--distances", str(dist), "--out-dir", str(out)]) == 0
+
 
 class TestErrors:
     def test_missing_map_exits_2(self, tmp_path, capsys):
@@ -399,6 +410,27 @@ class TestErrors:
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_seed_belongs_to_simulate_and_track(self, tmp_path, capsys, distances_file):
+        for argv in (["analyze", "--map", DEMO_MAP],
+                     ["table", "--distances", distances_file],
+                     ["transient", "--map", DEMO_MAP, "--rate", "1", "--time", "1"],
+                     ["report"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "1", "--out-dir", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_each_walk_subcommand_keeps_its_default_profile(self, tmp_path, line_map):
+        def run(*argv):
+            out = tmp_path / "_".join(argv)
+            assert main([*argv, "--map", line_map, "--steps", "6", "--out-dir", str(out)]) == 0
+            return (out / ("trace.csv" if argv[0] == "simulate" else "path.csv")).read_bytes()
+
+        assert run("simulate") == run("simulate", "--profile", "normal")
+        assert run("simulate") != run("simulate", "--profile", "blind")
+        assert run("track") == run("track", "--profile", "blind")
+        assert run("track") != run("track", "--profile", "normal")
+
 
 class TestInputContract:
     """Malformed inputs exit 1 with the offending field named and no traceback."""
@@ -411,7 +443,7 @@ class TestInputContract:
         rc = main(["track", "--map", line_map, "--trace", str(trace), "--out-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "truth_vertex 3" in err and "Traceback" not in err
+        assert "trace line 3: truth_vertex 3" in err and "Traceback" not in err
         assert not out.exists()  # rejected before any artifact is written
 
     def test_obstacle_with_null_coordinate(self, tmp_path, line_map, capsys):
@@ -483,6 +515,18 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --steps 1000000000000") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--steps", str(2**63)), ("--steps", str(10**30)),
+                                             ("--noise-sigma", "1e308")])
+    def test_values_beyond_numpy_and_float_range_name_the_flag(self, tmp_path, line_map, capsys,
+                                                               flag, value):
+        # numpy refuses such a draw with a ValueError of its own; such noise puts a fix at -inf
+        out = tmp_path / "out"
+        argv = ["simulate", "--map", line_map, "--steps", "5", f"{flag}={value}"]
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "Traceback" not in err
         assert not out.exists()
 
     def test_negative_steps_name_the_flag(self, tmp_path, line_map, capsys):

@@ -390,6 +390,19 @@ class TestSparseMemory:
         sample_path(held, 0, 100, seed=3)
         assert P._entries is None and held._entries is None
 
+    def test_dense_constructor_keeps_no_dense_copy(self):
+        # the CSR of a full 300 x 300 matrix is 1.37 MiB; a kept dense copy would add 0.69
+        A = np.full((300, 300), 1.0 / 300)
+        tracemalloc.start()
+        try:
+            P = StochasticMatrix(A)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert P._entries is None
+        assert retained <= 1.4 * 2**20 and peak <= 3.44 * 2**20
+        assert P.entries.tobytes() == A.tobytes()
+
     def test_emission_blocks_stay_within_the_budget(self, monkeypatch):
         seen = []
         real = pipeline._log_emissions

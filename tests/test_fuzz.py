@@ -1,8 +1,10 @@
-"""Parser fuzzing through the CLI: any input file ends in exit 0, 1 or 2, never a traceback.
+"""Parser and flag fuzzing through the CLI: any input ends in exit 0, 1 or 2, never a traceback.
 
-Each test writes one generated input file (map, trace, obstacles, profile
-config or distances) next to fixed valid ones, runs the subcommand that
-reads it in process and checks the exit code and stderr.
+Each parser test writes one generated input file (map, trace, obstacles,
+profile config or distances) next to fixed valid ones, runs the subcommand
+that reads it in process and checks the exit code and stderr. Each flag test
+passes generated numbers to the numeric flags, and a failure must name one
+of them.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from walkchain.cli import main
@@ -81,22 +84,29 @@ _TRACES = st.one_of(
 _DISTANCES = st.one_of(st.lists(_TOKENS, max_size=8).map("\n".join), st.text(max_size=40))
 
 
-def _run(name: str, text: str, argv_of) -> None:
-    """Write ``text`` to ``name``, run ``argv_of(input, map, out)`` and check the outcome."""
+def _run(name: str, text: str, argv_of, names: tuple[str, ...] = ()) -> None:
+    """Write ``text`` to ``name``, run ``argv_of(input, map, out)`` and check the outcome.
+
+    A failure must name one of ``names`` when any are given.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "line_map.json").write_text(json.dumps(LINE_MAP), encoding="utf-8")
         (tmp / name).write_text(text, encoding="utf-8")
         err = io.StringIO()
+        parser_exit = False
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 rc = main(argv_of(str(tmp / name), str(tmp / "line_map.json"), str(tmp / "out")))
-            except SystemExit as exc:
-                rc = exc.code
-    assert rc in (0, 1, 2), (rc, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if rc:
-        assert err.getvalue().startswith("error: ")
+            except SystemExit as exc:  # argparse: usage, then the flag it could not parse
+                rc, parser_exit = exc.code, True
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (rc, err)
+    assert "Traceback" not in err
+    if rc:  # a flag test may also end at argparse, which prints its usage first
+        assert err.startswith("usage: ") if parser_exit and names else err.startswith("error: ")
+    if rc and names:
+        assert any(name in err for name in names), err
 
 
 class TestParserFuzz:
@@ -146,3 +156,55 @@ class TestParserFuzz:
                 ("profile.json", lambda path, line_map, out: [
                     "simulate", "--map", line_map, "--profile-config", path, "--out-dir", out])):
             _run(name, deep, argv_of)
+
+
+# numbers for the numeric flags: nan, infinities, negatives, subnormals and huge values
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-320, 1e-200, 1e200, 1e308, -1e308]),
+)
+# small, negative, or so long that the first allocation fails: never a walk that could run
+_STEPS = st.one_of(st.integers(0, 30), st.integers(0, 30), st.integers(max_value=-1),
+                   st.integers(min_value=10**12))
+_STARTS = st.one_of(st.integers(0, 2), st.integers(-3, 5), st.integers())
+
+
+def _or_numbers(valid) -> st.SearchStrategy:
+    """Values from ``valid`` half the time, so that runs also get past the first flag."""
+    return st.one_of(valid, _NUMBERS)
+
+
+def _flags(**values) -> list[str]:
+    """``--flag=value`` tokens, so that argparse takes a value such as -inf for the flag's."""
+    return [f"--{key.replace('_', '-')}={v!r}" for key, v in values.items()]
+
+
+class TestFlagFuzz:
+    @given(_STARTS, _STEPS, _or_numbers(st.floats(0.0, 5.0)))
+    @settings(max_examples=150)
+    def test_simulate(self, start, steps, noise_sigma):
+        _run("unused.txt", "", lambda _, line_map, out: [
+            "simulate", "--map", line_map, "--out-dir", out,
+            *_flags(start=start, steps=steps, noise_sigma=noise_sigma)],
+            names=("start", "--steps", "--noise-sigma"))
+
+    @given(_STARTS, _STEPS, _or_numbers(st.floats(0.1, 5.0)), _or_numbers(st.floats(0.5, 50.0)))
+    @settings(max_examples=150)
+    def test_track(self, start, steps, emission_sigma, safer_distance):
+        _run("unused.txt", "", lambda _, line_map, out: [
+            "track", "--map", line_map, "--out-dir", out,
+            *_flags(start=start, steps=steps, emission_sigma=emission_sigma,
+                    safer_distance=safer_distance)],
+            names=("start", "--steps", "emission_sigma", "safer_distance"))
+
+    @given(_or_numbers(st.floats(0.1, 10.0)), _or_numbers(st.floats(0.0, 10.0)),
+           _or_numbers(st.sampled_from([1e-13, 1e-9, 1e-6])))
+    @settings(max_examples=150)
+    def test_transient(self, rate, time, tolerance):
+        # a finite positive rate * time is at most 10^6: a wider Poisson window is real work
+        assume(not (rate > 0 and time > 0 and 1e6 < rate * time < math.inf))
+        _run("unused.txt", "", lambda _, line_map, out: [
+            "transient", "--map", line_map, "--out-dir", out,
+            *_flags(rate=rate, time=time, tolerance=tolerance)],
+            names=("rate", "time", "tolerance"))

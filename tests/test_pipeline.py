@@ -311,8 +311,9 @@ class TestSmooth:
         g = grid_graph(2, 2, 1.0)
         P = random_walk_matrix(g)
         tr = Trace(t=[0.0], xy=[[0, 0]])
-        with pytest.raises(ValueError):
-            smooth(tr, g, P, emission_sigma=0.0)
+        for sigma in (0.0, 1e-200):  # at 1e-200, 2 sigma^2 underflows to 0: 0/0 scores were nan
+            with pytest.raises(ValueError, match="emission_sigma"):
+                smooth(tr, g, P, emission_sigma=sigma)
 
 
 class TestScoresAndError:
