@@ -34,26 +34,17 @@ class UnreachableStateError(ValueError):
         )
 
 
-def _validated_square(entries, name: str) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square 2-D array, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError(f"{name} must have at least one state")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} entries must be finite")
-    return arr
-
-
 class StochasticMatrix:
     """Row-stochastic transition matrix over states 0..n-1, held in CSR form.
 
     Row i stores its columns ``indices[indptr[i]:indptr[i + 1]]`` in
     ascending order and their probabilities at the same places of ``data``;
     all three are read-only numpy arrays. Every entry other than +0.0 is
-    stored, -0.0 included, so a dense matrix comes back bit for bit; the
-    positive-entry digraph is ``data > 0``. ``entries`` is the dense n x n
-    view, built on first access and cached; only the dense algebra
+    stored, -0.0 included, so a dense matrix comes back bit for bit. The
+    transition digraph, whose edges are the positive entries, comes from
+    ``_transitions`` alone; class structure, reachability, ``sample_path``
+    and ``pipeline.smooth`` all read it there. ``entries`` is the dense
+    n x n view, built on first access and cached; only the dense algebra
     (``analyze``, ``n_step``, ``evolve``, ``transient``, ``generator``)
     reads it.
 
@@ -204,35 +195,54 @@ class ChainAnalysis:
     mixing_time: int | None
 
 
-def n_step(P: StochasticMatrix, n: int) -> StochasticMatrix:
-    """n-step transition matrix P**n (n = 0 gives the identity)."""
+def _power(P: StochasticMatrix, n: int) -> np.ndarray:
+    """Dense P**n for a step count n, checked to be a non-negative integer."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"step count must be a non-negative integer, got {n!r}")
-    return StochasticMatrix(np.linalg.matrix_power(P.entries, n))
+    return np.linalg.matrix_power(P.entries, n)
+
+
+def n_step(P: StochasticMatrix, n: int) -> StochasticMatrix:
+    """n-step transition matrix P**n (n = 0 gives the identity)."""
+    return StochasticMatrix(_power(P, n))
 
 
 def evolve(d0: Distribution, P: StochasticMatrix, n: int) -> Distribution:
     """Marginal distribution after n steps from d0 (a row vector times P**n)."""
     if d0.n != P.n:
         raise ValueError(f"distribution has {d0.n} states but matrix has {P.n}")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"step count must be a non-negative integer, got {n!r}")
-    return Distribution(d0.probs @ np.linalg.matrix_power(P.entries, n))
+    return Distribution(d0.probs @ _power(P, n))
 
 
-def _reachable(succ: list[list[int]], start: int) -> np.ndarray:
-    """Boolean mask of states reachable from ``start`` in >= 0 steps along ``succ``."""
-    seen = [False] * len(succ)
+def _transitions(P: StochasticMatrix, reverse: bool = False) -> tuple[np.ndarray, ...]:
+    """The transition digraph: CSR (indptr, indices, data) of P's positive entries.
+
+    Every structural reader takes the digraph from here. Columns ascend
+    within each row; with ``reverse`` this is the transpose, rows ascending
+    within each column.
+    """
+    keep = P.data > 0
+    src, dst, w = P.rows()[keep], P.indices[keep], P.data[keep]
+    if reverse:  # a stable sort by column keeps the rows ascending within each
+        order = np.argsort(dst, kind="stable")
+        src, dst, w = dst[order], src[order], w[order]
+    return np.concatenate(([0], np.cumsum(np.bincount(src, minlength=P.n)))), dst, w
+
+
+def _reachable(P: StochasticMatrix, start: int, reverse=False, stop: int = -1) -> np.ndarray:
+    """States reachable from ``start`` in P's digraph (or its reverse), not going past ``stop``."""
+    indptr, indices = (a.tolist() for a in _transitions(P, reverse)[:2])
+    seen = [False] * (len(indptr) - 1)
     seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in succ[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        frontier = nxt
+    todo = [start]
+    while todo:
+        u = todo.pop()
+        if u == stop:
+            continue
+        for v in indices[indptr[u]:indptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                todo.append(v)
     return np.array(seen)
 
 
@@ -241,29 +251,13 @@ def accessible(P: StochasticMatrix, i: int, j: int) -> bool:
     for s in (i, j):
         if not (0 <= s < P.n):
             raise ValueError(f"state {s} outside 0..{P.n - 1}")
-    if i == j:
-        return True
-    return bool(_reachable(_successors(P), i)[j])
+    return i == j or bool(_reachable(P, i)[j])
 
 
-def _successors(P: StochasticMatrix, reverse: bool = False) -> list[list[int]]:
-    """Per-state lists of positive-probability successors, in increasing order.
-
-    With ``reverse`` the lists hold predecessors instead (the transpose).
-    """
-    keep = P.data > 0
-    src, dst = P.rows()[keep], P.indices[keep]
-    if reverse:  # a stable sort by column keeps the rows ascending within each
-        order = np.argsort(dst, kind="stable")
-        src, dst = dst[order], src[order]
-    ends = np.cumsum(np.bincount(src, minlength=P.n)).tolist()
-    dst = dst.tolist()
-    return [dst[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _communicating_classes(succ: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """SCCs by iterative Tarjan (each sorted, ordered by smallest member) and DFS forest depths."""
-    n = len(succ)
+def _communicating_classes(indptr, indices) -> tuple[list[list[int]], list[int]]:
+    """SCCs of a CSR digraph by iterative Tarjan (sorted, by smallest member) and DFS depths."""
+    indptr, indices = indptr.tolist(), indices.tolist()
+    n = len(indptr) - 1
     index = [-1] * n
     depth = [0] * n
     low = [0] * n
@@ -278,19 +272,19 @@ def _communicating_classes(succ: list[list[int]]) -> tuple[list[list[int]], list
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, 0)]  # (state, position in its successor list)
+        work = [(root, indptr[root])]  # (state, position of its next successor in indices)
         while work:
             u, i = work[-1]
-            if i < len(succ[u]):
+            if i < indptr[u + 1]:
                 work[-1] = (u, i + 1)
-                v = succ[u][i]
+                v = indices[i]
                 if index[v] < 0:
                     index[v] = low[v] = counter
                     depth[v] = depth[u] + 1
                     counter += 1
                     stack.append(v)
                     on_stack[v] = True
-                    work.append((v, 0))
+                    work.append((v, indptr[v]))
                 elif on_stack[v]:
                     low[u] = min(low[u], index[v])
                 continue
@@ -318,13 +312,13 @@ def _class_structure(P: StochasticMatrix) -> tuple[list[list[int]], tuple, tuple
     depth[u] + 1 - depth[v] over its edges (u, v), as with BFS levels; 0 for
     a class with no inside edge. A class is closed when no edge leaves it.
     """
-    classes, depth = _communicating_classes(_successors(P))
+    indptr, dst, _ = _transitions(P)
+    classes, depth = _communicating_classes(indptr, dst)
     class_of = np.empty(P.n, dtype=np.int64)
     for cid, members in enumerate(classes):
         class_of[members] = cid
     depth = np.array(depth)
-    keep = P.data > 0
-    src, dst = P.rows()[keep], P.indices[keep]
+    src = np.repeat(np.arange(P.n), np.diff(indptr))
     cid = class_of[src]
     inside = cid == class_of[dst]
     periods = np.zeros(len(classes), dtype=np.int64)
@@ -343,7 +337,7 @@ def stationary_distribution(P: StochasticMatrix,
     classes when the caller already has them.
     """
     if classes is None:
-        classes = _communicating_classes(_successors(P))[0]
+        classes = _communicating_classes(*_transitions(P)[:2])[0]
     if len(classes) != 1:
         raise ValueError(
             f"chain is reducible ({len(classes)} communicating classes); "
@@ -461,16 +455,17 @@ def hitting_time(P: StochasticMatrix, u: int, v: int) -> float:
     """Mean first-passage time from u to v, by linear solve.
 
     With h(v) = 0 and h(i) = 1 + sum_j P[i][j] h(j) on the states the walk can
-    visit, returns h(u). Raises UnreachableStateError when some state reachable
-    from u cannot reach v (the expectation is then infinite).
+    visit before v, returns h(u). Raises UnreachableStateError when some state
+    the walk can visit before v cannot reach v (the expectation is then
+    infinite); states it can reach only after v do not count.
     """
     for s in (u, v):
         if not (0 <= s < P.n):
             raise ValueError(f"state {s} outside 0..{P.n - 1}")
     if u == v:
         return 0.0
-    visitable = _reachable(_successors(P), u)
-    reaches_v = _reachable(_successors(P, reverse=True), v)  # one reverse search from the target
+    visitable = _reachable(P, u, stop=v)  # v absorbs: what lies beyond it cannot strand
+    reaches_v = _reachable(P, v, reverse=True)  # one reverse search from the target
     stranded = np.flatnonzero(visitable & ~reaches_v)
     if stranded.size:  # covers v not being visitable at all: u itself strands then
         raise UnreachableStateError(v, tuple(int(i) for i in stranded))
@@ -524,24 +519,24 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
         raise ValueError(f"start state {start} outside 0..{P.n - 1}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    u = np.random.default_rng(seed).random(n_steps).tolist()
     # Only positive columns are searched: at a zero column the cumulative sum
     # repeats its left neighbour's, so it is never the first to exceed u. The
     # running sums over the positive entries alone have the bits of full-row
     # sums, as adding a zero is exact.
-    keep = P.data > 0
-    probs, cols = P.data[keep].tolist(), P.indices[keep].tolist()
-    ends = np.cumsum(np.bincount(P.rows()[keep], minlength=P.n)).tolist()
-    bounds, targets = [], []
-    for a, b in zip([0] + ends[:-1], ends):
-        bounds.append(list(accumulate(probs[a:b])))
-        targets.append(cols[a:b] + [P.n - 1])  # a draw past the row total
-    path = [start]
-    state = start
-    for x in u:
-        state = targets[state][bisect_right(bounds[state], x)]
-        path.append(state)
-    return np.array(path, dtype=int)
+    indptr, cols, probs = (a.tolist() for a in _transitions(P))
+    bounds = [list(accumulate(probs[a:b])) for a, b in zip(indptr, indptr[1:])]
+    targets = [cols[a:b] + [P.n - 1] for a, b in zip(indptr, indptr[1:])]  # n - 1: past the total
+    rng = np.random.default_rng(seed)
+    path = np.empty(n_steps + 1, dtype=int)
+    path[0] = state = start
+    block = 4096  # draws per block: rng.random(k) per block continues one stream
+    for lo in range(1, n_steps + 1, block):
+        steps = []
+        for x in rng.random(min(block, n_steps + 1 - lo)).tolist():
+            state = targets[state][bisect_right(bounds[state], x)]
+            steps.append(state)
+        path[lo:lo + len(steps)] = steps
+    return path
 
 
 # ---------------------------------------------------------------------------

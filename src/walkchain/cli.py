@@ -213,17 +213,23 @@ def cmd_track(args: argparse.Namespace) -> int:
     if args.trace:
         text = _read(args.trace)
         trace = pipeline.trace_from_csv(text, profile_name=profile.name)
+        lines = [k for k, _ in pipeline.numbered_lines(text)[1:]]  # the file line of each fix
     else:
         trace = _walk_trace(args, g, P, profile)
 
-    snapped = pipeline.snap(trace, g)
+    try:
+        snapped = pipeline.snap(trace, g)
+    except pipeline._FarFixError as exc:  # name the fix's line, or the noise that put it there
+        if args.trace:
+            raise ValueError(f"trace line {lines[exc.fix]}: {exc}") from None
+        raise ValueError(f"--noise-sigma {args.noise_sigma!r}: {exc}") from None
     smoothed = pipeline.smooth(trace, g, P, emission_sigma=args.emission_sigma)
 
     # before any artifact is written: this validates the trace's truth vertices
     errors = ["method,mean_error_m"]
     has_truth = trace.has_truth()
     if has_truth and args.trace:  # name the file line of a truth vertex off the map
-        for (k, _), v in zip(pipeline.numbered_lines(text)[1:], trace.truth.tolist()):
+        for k, v in zip(lines, trace.truth.tolist()):
             if not 0 <= v < g.n:
                 raise ValueError(f"trace line {k}: truth_vertex {v} outside 0..{g.n - 1}")
     if has_truth:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import StochasticMatrix, _validated_square
+from .chains import StochasticMatrix
 
 DEFAULT_TAIL_TOL = 1e-9
 # floats cannot certify tails below ~1e-16; keep a safe margin
@@ -31,7 +31,13 @@ class GeneratorMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _validated_square(self.entries, "generator")
+        arr = np.array(self.entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"generator must be a square 2-D array, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise ValueError("generator must have at least one state")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("generator entries must be finite")
         off = arr.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
@@ -57,8 +63,7 @@ class UniformizedChain:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be finite and > 0, got {self.rate!r}")
+        _check_rate(self.rate)
 
 
 def generator(chain: UniformizedChain) -> GeneratorMatrix:
@@ -93,9 +98,13 @@ def poisson_pmf(rate: float, t: float, n: int) -> float:
     return math.exp(-_stirlerr(n) - _bd0(x, mu)) / math.sqrt(2.0 * math.pi * x)
 
 
-def _poisson_mean(rate: float, t: float) -> float:
+def _check_rate(rate: float) -> None:
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+
+
+def _poisson_mean(rate: float, t: float) -> float:
+    _check_rate(rate)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
     mu = rate * t
@@ -246,8 +255,7 @@ def sample_arrivals(rate: float, horizon: float, seed: int) -> np.ndarray:
     Gaps are -log(1 - U) / rate with U drawn from numpy's seeded PCG64 stream,
     so equal seeds reproduce the sample exactly.
     """
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+    _check_rate(rate)
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
     rng = np.random.default_rng(seed)

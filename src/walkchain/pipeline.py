@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .chains import StochasticMatrix, _join_or_write, sample_path
+from .chains import StochasticMatrix, _join_or_write, _transitions, sample_path
 from .mapgraph import LocalPoint, PathGraph
 from .profiles import WalkingProfile
 
@@ -34,6 +34,14 @@ OBSTACLE_KINDS = ("stationary", "moving")
 
 class TrellisError(ValueError):
     """Smoothing found no positive-probability state sequence."""
+
+
+class _FarFixError(ValueError):
+    """Fix ``fix`` lies so far from the map that its squared distance to every vertex overflows."""
+
+    def __init__(self, fix: int):
+        self.fix = fix
+        super().__init__(f"fix {fix}: squared distance to every vertex overflows")
 
 
 #: truth column entry of a fix whose generating vertex is unknown; the trace
@@ -201,8 +209,15 @@ def snap(tr: Trace, g: PathGraph) -> list[int]:
     if g.n == 0:
         raise ValueError("graph has no vertices to snap to")
     obs, pos = tr.positions(), g.positions()
-    return [int(k) for block in _fix_blocks(len(tr), g.n)
-            for k in np.argmin(_squared_distances(obs[block, None], pos), axis=1)]
+    nearest = []
+    for block in _fix_blocks(len(tr), g.n):
+        d2 = _squared_distances(obs[block, None], pos)
+        k = np.argmin(d2, axis=1)
+        far = np.flatnonzero(d2[np.arange(k.size), k] == np.inf)  # inf at every vertex
+        if far.size:
+            raise _FarFixError(block.start + int(far[0]))
+        nearest += k.tolist()
+    return nearest
 
 
 #: bytes of one block of per-vertex emission scores: the fixes are scored
@@ -222,22 +237,23 @@ def _squared_distances(obs: np.ndarray, pos: np.ndarray) -> np.ndarray:
     ``obs[:, None]`` against ``pos`` gives the (m, n) table, equal-shaped
     arrays one distance per row. dx*dx + dy*dy has the bits of summing the
     stacked squared differences over their last axis: a sum of two terms is
-    one addition.
+    one addition. A distance too large for a float is inf, with no warning.
     """
-    d2 = obs[..., 0] - pos[..., 0]
-    d2 *= d2
-    dy = obs[..., 1] - pos[..., 1]
-    dy *= dy
-    d2 += dy
+    with np.errstate(over="ignore"):
+        d2 = obs[..., 0] - pos[..., 0]
+        d2 *= d2
+        dy = obs[..., 1] - pos[..., 1]
+        dy *= dy
+        d2 += dy
     return d2
 
 
 def _log_emissions(obs: np.ndarray, pos: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian log emission scores -|obs - pos|^2 / (2 sigma^2), broadcast as in _squared_distances."""
-    with np.errstate(over="ignore"):  # absurd fixes overflow to -inf and get caught
-        d2 = _squared_distances(obs, pos)
+    d2 = _squared_distances(obs, pos)
+    with np.errstate(over="ignore"):  # scores past the float range are -inf; smooth reports them
         d2 /= -(2.0 * sigma * sigma)  # the bits of -d2 / (2 sigma^2): division is sign-symmetric
-        return d2
+    return d2
 
 
 def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float = 1.0) -> list[int]:
@@ -259,40 +275,36 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
         raise ValueError(f"emission_sigma must be finite and > 0, and 2 sigma^2 must not "
                          f"underflow to 0, got {emission_sigma!r}")
     m, n = len(tr), g.n
-    # Predecessor table from the transpose of P: row v lists the states u
+    # Predecessor table from the reversed digraph: row v lists the states u
     # with P[u, v] > 0 in ascending id, padded to the largest in-degree with
     # the sentinel state n, whose score stays -inf.
-    keep = P.data > 0
-    order = np.argsort(P.indices[keep], kind="stable")  # rows ascend within each column
-    src, dst, w = P.rows()[keep][order], P.indices[keep][order], P.data[keep][order]
-    indeg = np.bincount(dst, minlength=n)
-    slot = np.arange(dst.size) - np.repeat(np.cumsum(indeg) - indeg, indeg)
+    indptr, src, w = _transitions(P, reverse=True)
+    indeg, rows = np.diff(indptr), np.arange(n)
+    dst = np.repeat(rows, indeg)
+    slot = np.arange(src.size) - np.repeat(indptr[:-1], indeg)
     pred = np.full((n, int(indeg.max())), n)
     pred[dst, slot] = src
     log_w = np.full(pred.shape, -np.inf)
     log_w[dst, slot] = np.log(w)
-    rows = np.arange(n)
     delta = np.full(n + 1, -np.inf)
     back = np.zeros((m, n), dtype=np.min_scalar_type(pred.shape[1] - 1))
     obs, pos = tr.positions(), g.positions()
     log_em = (row for block in _fix_blocks(m, n)
               for row in _log_emissions(obs[block, None], pos, emission_sigma))
-    delta[:n] = next(log_em)  # uniform prior contributes a constant; omitted
-    if np.max(delta) == -np.inf:
-        raise TrellisError(
-            "no state has positive probability at fix 0; widen emission_sigma "
-            "or augment the chain with self-loops"
-        )
-    for k, em in enumerate(log_em, start=1):
-        cand = delta[pred] + log_w
-        j = np.argmax(cand, axis=1)  # first max slot = lowest predecessor id
-        back[k] = j
-        delta[:n] = cand[rows, j] + em
+    for k, em in enumerate(log_em):
+        if k == 0:
+            delta[:n] = em  # uniform prior contributes a constant; omitted
+        else:
+            cand = delta[pred] + log_w
+            j = np.argmax(cand, axis=1)  # first max slot = lowest predecessor id
+            back[k] = j
+            delta[:n] = cand[rows, j] + em
         if np.max(delta) == -np.inf:
-            raise TrellisError(
-                f"no positive-probability path survives to fix {k}; widen "
-                "emission_sigma or augment the chain with self-loops"
-            )
+            dead = (f"no positive-probability path survives to fix {k}" if k else
+                    "no state has positive probability at fix 0")
+            if np.isinf(_squared_distances(obs[k], pos)).all():
+                raise TrellisError(f"{dead}: its squared distance to every vertex overflows")
+            raise TrellisError(f"{dead}; widen emission_sigma or augment the chain with self-loops")
     seq = [int(np.argmax(delta))]
     for k in range(m - 1, 0, -1):
         seq.append(int(pred[seq[-1], back[k, seq[-1]]]))

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -110,8 +110,12 @@ class TestEvolution:
         assert np.array_equal(n_step(K3, 1).entries, K3.entries)
 
     def test_rejects_negative_step_count(self):
-        with pytest.raises(ValueError):
-            n_step(K3, -1)
+        d0 = Distribution(np.array([1.0, 0.0, 0.0]))
+        for call in (lambda n: n_step(K3, n), lambda n: evolve(d0, K3, n)):
+            for bad in (-1, 1.0):
+                with pytest.raises(ValueError, match=f"step count must be a non-negative "
+                                                     f"integer, got {bad!r}"):
+                    call(bad)
 
     @given(stochastic_matrices(), st.integers(0, 4), st.integers(0, 4))
     def test_chapman_kolmogorov(self, P, m, n):
@@ -329,6 +333,13 @@ class TestPassageTimes:
         assert exc.value.target == 1
         assert exc.value.stranded == (0,)
 
+    def test_states_beyond_the_target_do_not_strand(self):
+        # 2 is absorbing but lies past 1: every walk from 0 meets 1 first
+        P = _sm([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert hitting_time(P, 0, 1) == 1.0
+        P = _sm([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert hitting_time(P, 0, 1) == pytest.approx(2.0, abs=1e-12)
+
     def test_absorbing_trap_on_the_way(self):
         # from 0 the walk may fall into absorbing 2 and never reach 1
         P = _sm([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -450,14 +461,21 @@ class TestReferenceOracles:
             hitting_times(P, stationary_distribution(P))
 
     @given(stochastic_matrices(max_n=7))
+    @example(_sm([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))  # 2 lies only past 1
     @settings(max_examples=100)
     def test_stranded_states_match_forward_searches(self, P):
+        # a state strands when the walk can visit it before v (v made
+        # absorbing, so what lies only beyond v does not count) and it cannot reach v
         reach = _reach_matrix(P)
-        for u in range(P.n):
-            for v in range(P.n):
+        for v in range(P.n):
+            absorbing = np.array(P.entries)
+            absorbing[v] = np.eye(P.n)[v]
+            before_v = _reach_matrix(StochasticMatrix(absorbing))
+            for u in range(P.n):
                 if u == v:
                     continue
-                want = tuple(i for i in range(P.n) if reach[u, i] and i != v and not reach[i, v])
+                want = tuple(i for i in range(P.n)
+                             if before_v[u, i] and i != v and not reach[i, v])
                 if want:
                     with pytest.raises(UnreachableStateError) as exc:
                         hitting_time(P, u, v)
@@ -602,6 +620,18 @@ class TestSamplePath:
         path = sample_path(P, 0, 30, seed=seed)
         for a, b in zip(path[:-1], path[1:]):
             assert P.entries[a, b] > 0
+
+    def test_draws_blocks_hold_no_python_object_per_step(self):
+        # the draws and the path held as Python lists peaked at 2.8 MiB here
+        P = random_walk_matrix(grid_graph(28, 28))
+        tracemalloc.start()
+        try:
+            path = sample_path(P, 0, 50_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.dtype == np.int64
+        assert peak < 4 * path.nbytes
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

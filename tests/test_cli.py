@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -527,6 +528,30 @@ class TestInputContract:
         assert main(argv + ["--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, named", [
+        ("noise", "error: --noise-sigma 1e+200: fix 0: squared distance to every vertex overflows"),
+        ("file", "error: trace line 4: fix 1: squared distance to every vertex overflows"),
+    ], ids=["noise_sigma", "trace_file"])
+    def test_fix_too_far_from_the_map(self, tmp_path, line_map, capsys, source, named):
+        # finite fixes whose squared distances overflow: no sigma can help
+        out = tmp_path / "out"
+        argv = ["track", "--map", line_map, "--out-dir", str(out)]
+        if source == "noise":
+            argv += ["--steps", "3", "--noise-sigma", "1e200"]
+        else:
+            trace = tmp_path / "trace.csv"  # a blank line 3: lines are counted as in the file
+            trace.write_text("t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,0\n\n1,1e200,0\n",
+                             encoding="utf-8")
+            argv += ["--trace", str(trace)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(named) and "RuntimeWarning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_negative_steps_name_the_flag(self, tmp_path, line_map, capsys):

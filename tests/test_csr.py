@@ -301,6 +301,14 @@ class TestDenseReferences:
         assert got.dtype == np.dtype(int)
         assert np.array_equal(got, _dense_sample_path(P, start, 60, seed))
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 4095, 4096, 4097, 8193, 50_000])
+    def test_sample_path_across_draw_blocks(self, n_steps):
+        # draws come a block at a time; the path must be that of one stream
+        P = random_walk_matrix(grid_graph(6, 7))
+        for seed in range(20):
+            got = sample_path(P, seed % P.n, n_steps, seed)
+            assert np.array_equal(got, _dense_sample_path(P, seed % P.n, n_steps, seed))
+
     @given(_graphs_and_chains(), st.data(), _SIGMAS)
     @settings(max_examples=150)
     def test_smooth_and_score(self, gP, data, sigma):

@@ -57,10 +57,21 @@ class TestGeneratorMatrix:
         assert np.abs(Q.entries.sum(axis=1)).max() <= 1e-12
 
     def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            UniformizedChain(FLIP, rate=0.0)
-        with pytest.raises(ValueError):
-            UniformizedChain(FLIP, rate=float("nan"))
+        # the chain, the Poisson law and the arrival sampler share one check and message
+        for bad in (0.0, float("nan")):
+            for call in (lambda: UniformizedChain(FLIP, rate=bad), lambda: poisson_pmf(bad, 1.0, 0),
+                         lambda: sample_arrivals(bad, 1.0, seed=0)):
+                with pytest.raises(ValueError, match=rf"^rate must be finite and > 0, got {bad!r}$"):
+                    call()
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros((2, 3)), r"generator must be a square 2-D array, got shape \(2, 3\)"),
+        (np.zeros((0, 0)), "generator must have at least one state"),
+        (np.array([[-1.0, np.inf], [0.0, 0.0]]), "generator entries must be finite"),
+    ])
+    def test_rejects_malformed_arrays(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeneratorMatrix(entries)
 
 
 class TestPoisson:

@@ -10,6 +10,7 @@ import socket
 import threading
 import tracemalloc
 import urllib.request
+import warnings
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -291,6 +292,28 @@ class TestSmooth:
         tr = Trace(t=[0.0, 1.0], xy=[[0.0, 0.0], [1e200, 0.0]])
         with pytest.raises(TrellisError, match="fix 1"):
             smooth(tr, g, P, emission_sigma=1.0)
+
+    @pytest.mark.parametrize("far", [0, 1])
+    def test_overflowing_fix_is_named_without_warnings(self, far):
+        # no sigma helps once every squared distance is inf: say so, not "widen"
+        g = grid_graph(2, 2, 1.0)
+        xy = [[0.0, 0.0], [0.5, 0.5]]
+        xy[far] = [1.0, -1e200]
+        tr = Trace(t=[0.0, 1.0], xy=xy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrellisError, match=f"fix {far}: its squared distance to every "
+                                                   "vertex overflows"):
+                smooth(tr, g, random_walk_matrix(g))
+            with pytest.raises(ValueError, match=f"fix {far}: squared distance to every vertex "
+                                                 "overflows"):
+                snap(tr, g)
+
+    def test_narrow_sigma_still_says_widen(self):
+        g = grid_graph(2, 2, 1.0)
+        tr = Trace(t=[0.0], xy=[[1e10, 0.0]])  # finite distances whose scores overflow
+        with pytest.raises(TrellisError, match="fix 0; widen emission_sigma"):
+            smooth(tr, g, random_walk_matrix(g), emission_sigma=1e-150)
 
     def test_no_dense_transition_work(self):
         # the dense trellis took log P, an n x n float array; the predecessor
@@ -859,7 +882,12 @@ class TestDistances:
         obs, pos = tr.positions(), g.positions()
         with np.errstate(over="ignore"):
             d2 = ((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-            assert pipeline._squared_distances(obs[:, None], pos).tobytes() == d2.tobytes()
+        assert pipeline._squared_distances(obs[:, None], pos).tobytes() == d2.tobytes()
+        far = np.flatnonzero(np.isinf(d2).all(axis=1))
+        if far.size:  # no vertex is nearest when every distance overflows
+            with pytest.raises(ValueError, match=f"fix {far[0]}: squared distance"):
+                snap(tr, g)
+        else:
             assert snap(tr, g) == [int(k) for k in np.argmin(d2, axis=1)]
         assert (pipeline._log_emissions(obs[:, None], pos, sigma).tobytes()
                 == _dense_log_em(tr, g, sigma).tobytes())
