@@ -65,6 +65,7 @@ from .pipeline import (
     AlertEvent,
     DeliveryReport,
     FileSink,
+    FixError,
     Obstacle,
     SinkReport,
     Trace,

@@ -114,16 +114,15 @@ def _table_rows(path: str | None, mode: str) -> tuple[list[profiles.ComparisonRo
     """
     if path is None:
         return profiles.comparison_table(profiles.SURVEY_DISTANCES_M, mode=mode), []
-    lines, values = [], []
-    for k, line in enumerate(_read(path).splitlines(), start=1):
+    numbered = pipeline.numbered_lines(_read(path))
+    values = []
+    for k, line in numbered:
         token = line.strip()
-        if not token:
-            continue
         try:
             values.append(float(token))
         except ValueError:
             raise ValueError(f"distances file line {k}: not a number: {token!r}") from None
-        lines.append(k)
+    lines = [k for k, _ in numbered]
     if not values:
         raise ValueError("distances file contains no values")
     try:
@@ -181,7 +180,7 @@ def _walk_trace(args: argparse.Namespace, g: mapgraph.PathGraph, P: chains.Stoch
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
     try:
-        if args.steps > sys.maxsize // 8:  # numpy rejects a draw of more bytes outright
+        if args.steps >= sys.maxsize // 8:  # steps + 1 int64s past numpy's byte limit
             raise MemoryError
         trace = pipeline.simulate_walk(g, P, profile, start=args.start, n_steps=args.steps,
                                        seed=args.seed)
@@ -217,24 +216,18 @@ def cmd_track(args: argparse.Namespace) -> int:
     else:
         trace = _walk_trace(args, g, P, profile)
 
-    try:
-        snapped = pipeline.snap(trace, g)
-    except pipeline._FarFixError as exc:  # name the fix's line, or the noise that put it there
-        if args.trace:
-            raise ValueError(f"trace line {lines[exc.fix]}: {exc}") from None
-        raise ValueError(f"--noise-sigma {args.noise_sigma!r}: {exc}") from None
-    smoothed = pipeline.smooth(trace, g, P, emission_sigma=args.emission_sigma)
-
-    # before any artifact is written: this validates the trace's truth vertices
     errors = ["method,mean_error_m"]
     has_truth = trace.has_truth()
-    if has_truth and args.trace:  # name the file line of a truth vertex off the map
-        for k, v in zip(lines, trace.truth.tolist()):
-            if not 0 <= v < g.n:
-                raise ValueError(f"trace line {k}: truth_vertex {v} outside 0..{g.n - 1}")
-    if has_truth:
-        errors.append(f"snap,{pipeline.localization_error(snapped, trace, g)!r}")
-        errors.append(f"smooth,{pipeline.localization_error(smoothed, trace, g)!r}")
+    try:  # before any artifact is written: localization_error validates the truth vertices
+        snapped = pipeline.snap(trace, g)
+        smoothed = pipeline.smooth(trace, g, P, emission_sigma=args.emission_sigma)
+        if has_truth:
+            errors.append(f"snap,{pipeline.localization_error(snapped, trace, g)!r}")
+            errors.append(f"smooth,{pipeline.localization_error(smoothed, trace, g)!r}")
+    except pipeline.FixError as exc:  # name the fix's line, or the noise that put it there
+        source = (f"trace line {lines[exc.fix]}" if args.trace else
+                  f"--noise-sigma {args.noise_sigma!r}")
+        raise ValueError(f"{source}: {exc}") from None
     errors.append(f"reference_prototype,{pipeline.REFERENCE_FIELD_ERROR_M!r}")
 
     obstacles = pipeline.obstacles_from_json(_read(args.obstacles)) if args.obstacles else []

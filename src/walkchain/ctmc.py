@@ -74,7 +74,7 @@ def generator(chain: UniformizedChain) -> GeneratorMatrix:
     zero when the scaled entries are representable, e.g. two-state chains at
     integer rates); it never inherits a row-sum deviation from P itself.
     """
-    Q = chain.rate * chain.jump_chain.entries.copy()
+    Q = chain.rate * chain.jump_chain.entries
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return GeneratorMatrix(Q)

@@ -32,16 +32,17 @@ ALERT_KINDS = ("obstacle_warning", "hold_position", "destination_reached")
 OBSTACLE_KINDS = ("stationary", "moving")
 
 
-class TrellisError(ValueError):
-    """Smoothing found no positive-probability state sequence."""
+class FixError(ValueError):
+    """A fix breaks an invariant: ``fix`` is its index, ``field`` its trace column, or None."""
 
-
-class _FarFixError(ValueError):
-    """Fix ``fix`` lies so far from the map that its squared distance to every vertex overflows."""
-
-    def __init__(self, fix: int):
+    def __init__(self, message: str, fix: int | None = None, field: str | None = None):
+        super().__init__(message)
         self.fix = fix
-        super().__init__(f"fix {fix}: squared distance to every vertex overflows")
+        self.field = field
+
+
+class TrellisError(FixError):
+    """Smoothing found no positive-probability state sequence up to fix ``fix``."""
 
 
 #: truth column entry of a fix whose generating vertex is unknown; the trace
@@ -49,8 +50,8 @@ class _FarFixError(ValueError):
 NO_TRUTH = np.iinfo(np.int64).min
 
 
-def _first_bad_fix(t: np.ndarray, xy: np.ndarray) -> tuple[int, str, str] | None:
-    """(index, column, message) of the first fix that breaks a trace invariant, or None.
+def _check_fixes(t: np.ndarray, xy: np.ndarray) -> None:
+    """Raise FixError for the first fix that breaks a trace invariant.
 
     A fix needs finite coordinates and a finite time >= 0; times must
     strictly increase. Per-fix faults come before ordering faults.
@@ -61,14 +62,13 @@ def _first_bad_fix(t: np.ndarray, xy: np.ndarray) -> tuple[int, str, str] | None
         x, y = xy[k].tolist()
         for column, value in (("x_m", x), ("y_m", y)):
             if not math.isfinite(value):
-                return k, column, f"local coordinates must be finite, got ({x!r}, {y!r})"
-        return k, "t_s", f"fix time must be finite and >= 0, got {float(t[k])!r}"
+                raise FixError(f"local coordinates must be finite, got ({x!r}, {y!r})", k, column)
+        raise FixError(f"fix time must be finite and >= 0, got {float(t[k])!r}", k, "t_s")
     back = np.flatnonzero(t[1:] <= t[:-1])
     if back.size:
         k = int(back[0]) + 1
-        return k, "t_s", (f"fix timestamps must strictly increase, "
-                          f"got {float(t[k - 1])!r} then {float(t[k])!r}")
-    return None
+        raise FixError(f"fix timestamps must strictly increase, "
+                       f"got {float(t[k - 1])!r} then {float(t[k])!r}", k, "t_s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +104,7 @@ class Trace:
                 raise ValueError(f"truth must be {m} integer vertex ids, got {truth.dtype} "
                                  f"of shape {truth.shape}")
             truth = truth.astype(np.int64)
-        fault = _first_bad_fix(t, xy)
-        if fault is not None:
-            raise ValueError(fault[2])
+        _check_fixes(t, xy)
         for name, col in (("t", t), ("xy", xy), ("truth", truth)):
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -176,9 +174,12 @@ def simulate_walk(
 ) -> Trace:
     """Walk ``n_steps`` transitions of P over the graph, recording truth and time.
 
-    The states visited are ``sample_path(P, start, n_steps, seed)``. Each move from u to v advances time by edge length / profile speed. A
+    The states visited are ``sample_path(P, start, n_steps, seed)``. Each
+    move from u to v advances time by edge length / profile speed. A
     self-transition (possible only in held chains) advances time by one step
-    period, keeping timestamps strictly increasing.
+    period. Raises ValueError naming the step, and its edge, where time first
+    leaves the float range or, failing that, first does not advance (an edge
+    of zero length, or one too short for the time already walked).
     """
     if P.n != g.n:
         raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
@@ -186,10 +187,15 @@ def simulate_walk(
         raise ValueError(f"start vertex {start} outside 0..{g.n - 1}")
     path = sample_path(P, start, n_steps, seed)
     pos = g.positions()
-    dx, dy = (pos[path[1:]] - pos[path[:-1]]).T
-    dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
-    times = np.concatenate(([0.0], np.cumsum(dt)))  # float64 cumsum adds in sequence
-    return Trace(t=times, xy=pos[path], truth=path, profile_name=profile.name)
+    with np.errstate(over="ignore"):  # a time past the float range is inf; Trace names it
+        dx, dy = (pos[path[1:]] - pos[path[:-1]]).T
+        dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
+        times = np.concatenate(([0.0], np.cumsum(dt)))  # float64 cumsum adds in sequence
+    try:
+        return Trace(t=times, xy=pos[path], truth=path, profile_name=profile.name)
+    except FixError as exc:  # only a time can be at fault: vertex positions are finite
+        k = exc.fix
+        raise ValueError(f"step {k}, edge {path[k - 1]} -> {path[k]}: {exc}") from None
 
 
 def add_noise(tr: Trace, sigma: float, seed: int) -> Trace:
@@ -215,7 +221,8 @@ def snap(tr: Trace, g: PathGraph) -> list[int]:
         k = np.argmin(d2, axis=1)
         far = np.flatnonzero(d2[np.arange(k.size), k] == np.inf)  # inf at every vertex
         if far.size:
-            raise _FarFixError(block.start + int(far[0]))
+            fix = block.start + int(far[0])
+            raise FixError(f"fix {fix}: squared distance to every vertex overflows", fix)
         nearest += k.tolist()
     return nearest
 
@@ -303,8 +310,8 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
             dead = (f"no positive-probability path survives to fix {k}" if k else
                     "no state has positive probability at fix 0")
             if np.isinf(_squared_distances(obs[k], pos)).all():
-                raise TrellisError(f"{dead}: its squared distance to every vertex overflows")
-            raise TrellisError(f"{dead}; widen emission_sigma or augment the chain with self-loops")
+                raise TrellisError(f"{dead}: its squared distance to every vertex overflows", k)
+            raise TrellisError(f"{dead}; widen emission_sigma or augment the chain with self-loops", k)
     seq = [int(np.argmax(delta))]
     for k in range(m - 1, 0, -1):
         seq.append(int(pred[seq[-1], back[k, seq[-1]]]))
@@ -352,7 +359,8 @@ def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> floa
     bad = np.flatnonzero((truth_states < 0) | (truth_states >= g.n))
     if bad.size:
         k = int(bad[0])
-        raise ValueError(f"fix {k}: truth_vertex {truth_states[k]} outside 0..{g.n - 1}")
+        raise FixError(f"truth_vertex {truth_states[k]} outside 0..{g.n - 1} at fix {k}", k,
+                       "truth_vertex")
     pos = g.positions()
     est = pos[np.asarray(estimate, dtype=int)]
     truth = pos[truth_states]
@@ -496,13 +504,7 @@ def dispatch(events: Sequence[AlertEvent], sinks: Sequence) -> DeliveryReport:
     single delivery. Sink failures are recorded, never raised, so one dead
     sink cannot block the others.
     """
-    unique: list[AlertEvent] = []
-    seen = set()
-    for ev in events:
-        key = (ev.t, ev.kind, ev.distance, ev.message)
-        if key not in seen:
-            seen.add(key)
-            unique.append(ev)
+    unique = list(dict.fromkeys(events))  # AlertEvent hashes and compares by all four fields
     reports = []
     for sink in sinks:
         flags = tuple(bool(sink.deliver(ev)) for ev in unique)
@@ -609,12 +611,10 @@ def trace_from_csv(text: str, profile_name: str = "") -> Trace:
         for k, parts in rows:
             _check_trace_fields(k, parts, with_truth)
         raise
-    t, xy = values[:, 0], values[:, 1:]
-    fault = _first_bad_fix(t, xy)
-    if fault is not None:
-        k, column, message = fault
-        raise ValueError(f"trace line {rows[k][0]}: {column}: {message}")
-    return Trace(t=t, xy=xy, truth=truth, profile_name=profile_name)
+    try:
+        return Trace(t=values[:, 0], xy=values[:, 1:], truth=truth, profile_name=profile_name)
+    except FixError as exc:
+        raise ValueError(f"trace line {rows[exc.fix][0]}: {exc.field}: {exc}") from None
 
 
 def _obstacle_number(item: dict, k: int, key: str, convert=float):

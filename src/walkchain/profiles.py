@@ -46,6 +46,10 @@ class WalkingProfile:
             val = getattr(self, field_name)
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{field_name} must be finite and > 0, got {val!r}")
+        if not (0 < self.speed < math.inf and 0 < self.pace < math.inf):
+            raise ValueError(f"step_length {self.step_length!r} and step_period "
+                             f"{self.step_period!r} give a speed of {self.speed!r} m/s and a pace "
+                             f"of {self.pace!r} s/m; both must be finite and > 0")
         if self.rounded_pace is not None and not (math.isfinite(self.rounded_pace) and self.rounded_pace > 0):
             raise ValueError(f"rounded_pace must be finite and > 0, got {self.rounded_pace!r}")
 

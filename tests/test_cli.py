@@ -24,6 +24,9 @@ from walkchain import (
 )
 from walkchain.cli import main
 
+# a numpy warning on the way to an exit code is a hole: a float went out of range unnamed
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 REPO = Path(__file__).resolve().parents[1]
 DEMO_MAP = str(REPO / "data" / "campus_map.json")
 DEMO_OBSTACLES = str(REPO / "data" / "obstacles.json")
@@ -519,6 +522,7 @@ class TestInputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--steps", str(2**63)), ("--steps", str(10**30)),
+                                             ("--steps", str(2**60 - 1)),
                                              ("--noise-sigma", "1e308")])
     def test_values_beyond_numpy_and_float_range_name_the_flag(self, tmp_path, line_map, capsys,
                                                                flag, value):
@@ -552,6 +556,55 @@ class TestInputContract:
         assert rc == 1
         assert err.startswith(named) and "RuntimeWarning" not in err and "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, named", [
+        ("noise", "error: --noise-sigma 100000.0: no state has positive probability at fix 0; "
+                  "widen emission_sigma"),
+        ("file", "error: trace line 4: no positive-probability path survives to fix 1; "
+                 "widen emission_sigma"),
+    ], ids=["noise_sigma", "trace_file"])
+    def test_dead_trellis_names_the_fix_source(self, tmp_path, line_map, capsys, source, named):
+        # finite squared distances whose scores overflow at this sigma: no path survives
+        out = tmp_path / "out"
+        argv = ["track", "--map", line_map, "--emission-sigma", "1e-150", "--out-dir", str(out)]
+        if source == "noise":
+            argv += ["--steps", "3", "--noise-sigma", "1e5"]
+        else:
+            trace = tmp_path / "trace.csv"  # a blank line 3: lines are counted as in the file
+            trace.write_text("t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,0\n\n1,1e5,0,1\n",
+                             encoding="utf-8")
+            argv += ["--trace", str(trace)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(named) and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("profile, vertices_x, named", [
+        ((5e-324, 1.0), (0.0, 5.8), "step_length 5e-324 and step_period 1.0 give a speed of "
+                                    "5e-324 m/s and a pace of inf s/m; both must be finite and > 0"),
+        ((1e300, 1e-300), (0.0, 5.8), "step_length 1e+300 and step_period 1e-300 give a speed of "
+                                      "inf m/s and a pace of 0.0 s/m; both must be finite and > 0"),
+        (None, (-1e308, 1e308), "step 1, edge 0 -> 1: fix time must be finite and >= 0, got inf"),
+        (None, (0.0, 0.0), "step 1, edge 0 -> 1: fix timestamps must strictly increase, "
+                           "got 0.0 then 0.0"),
+    ], ids=["pace_overflows", "speed_overflows", "edge_overflows", "edge_of_zero_length"])
+    def test_walk_time_out_of_range_names_its_input(self, tmp_path, capsys, profile, vertices_x,
+                                                    named):
+        # the module's filterwarnings mark turns a numpy RuntimeWarning into a test error
+        out = tmp_path / "out"
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({"vertices": [{"id": k, "x": x, "y": 0.0}
+                                                for k, x in enumerate(vertices_x)],
+                                   "edges": [[0, 1]]}), encoding="utf-8")
+        argv = ["simulate", "--map", str(two), "--steps", "3", "--out-dir", str(out)]
+        if profile:
+            config = tmp_path / "profile.json"
+            config.write_text(json.dumps({"name": "p", "step_length_m": profile[0],
+                                          "step_period_s": profile[1]}), encoding="utf-8")
+            argv += ["--profile-config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
 
     def test_negative_steps_name_the_flag(self, tmp_path, line_map, capsys):

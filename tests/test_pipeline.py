@@ -25,6 +25,7 @@ from walkchain import (
     NORMAL,
     AlertEvent,
     FileSink,
+    FixError,
     NO_TRUTH,
     LocalPoint,
     Obstacle,
@@ -33,6 +34,7 @@ from walkchain import (
     Trace,
     TrellisError,
     Vertex,
+    WalkingProfile,
     WebhookSink,
     add_noise,
     detect,
@@ -177,6 +179,18 @@ class TestSimulateWalk:
         g3 = grid_graph(3, 3, 1.0)
         with pytest.raises(ValueError, match="states"):
             simulate_walk(g3, P, NORMAL, start=0, n_steps=1, seed=0)
+
+    def test_walk_time_overflow_names_the_step(self):
+        # every step takes a finite 1e306 s, so only the running total leaves the float range
+        g = grid_graph(2, 1, 1.0)
+        P = random_walk_matrix(g)
+        slow = WalkingProfile("slow", step_length=1.0, step_period=1e306)
+        assert np.isfinite(simulate_walk(g, P, slow, start=0, n_steps=179, seed=0).t[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^step 180, edge 1 -> 0: fix time must be finite "
+                                                 "and >= 0, got inf$"):
+                simulate_walk(g, P, slow, start=0, n_steps=180, seed=0)
 
 
 class TestAddNoise:
@@ -360,6 +374,26 @@ class TestScoresAndError:
         assert localization_error(truth, tr, g) == 0.0
         wrong = [(s + 1) % 4 for s in truth]
         assert localization_error(wrong, tr, g) > 0
+
+    def test_every_fix_fault_is_a_fix_error_naming_the_fix(self):
+        g = grid_graph(2, 2, 1.0)
+        P = random_walk_matrix(g)
+        for t, xy, fix, field in (([0.0, 1.0, 2.0], [[0, 0], [1, 0], [1, np.inf]], 2, "y_m"),
+                                  ([0.0, 1.0, -2.0], [[0, 0], [1, 0], [1, 1]], 2, "t_s"),
+                                  ([0.0, 2.0, 1.0], [[0, 0], [1, 0], [1, 1]], 2, "t_s")):
+            with pytest.raises(FixError) as exc:
+                Trace(t=t, xy=xy)
+            assert (exc.value.fix, exc.value.field) == (fix, field)
+        far = Trace(t=[0.0, 1.0], xy=[[0.0, 0.0], [1e200, 0.0]])
+        for decode, kind in ((lambda: snap(far, g), FixError),
+                             (lambda: smooth(far, g, P), TrellisError)):
+            with pytest.raises(kind) as exc:
+                decode()
+            assert (exc.value.fix, exc.value.field) == (1, None)
+        off_map = Trace(t=[0.0, 1.0], xy=[[0, 0], [1, 0]], truth=[0, 4])
+        with pytest.raises(FixError, match="^truth_vertex 4 outside 0..3 at fix 1$") as exc:
+            localization_error([0, 1], off_map, g)
+        assert (exc.value.fix, exc.value.field) == (1, "truth_vertex")
 
     def test_localization_error_requires_truth(self):
         g = grid_graph(2, 2, 1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +55,13 @@ class TestProfileBasics:
             WalkingProfile("x", step_length=0.5, step_period=-1.0)
         with pytest.raises(ValueError):
             WalkingProfile("", step_length=0.5, step_period=1.0)
+
+    @pytest.mark.parametrize("length, period", [(5e-324, 1.0), (1e300, 1e-300), (1e-300, 1e300)])
+    def test_speed_and_pace_must_be_finite_and_positive(self, length, period):
+        # each field is finite and > 0, but their quotient or its inverse leaves the float range
+        given_fields = re.escape(f"step_length {length!r} and step_period {period!r} give a speed")
+        with pytest.raises(ValueError, match=given_fields + ".* both must be finite and > 0"):
+            WalkingProfile("x", step_length=length, step_period=period)
 
 
 class TestTravelTime:
