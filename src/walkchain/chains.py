@@ -20,6 +20,8 @@ ROW_SUM_TOL = 1e-12
 MIXING_TIME_CAP = 10_000
 #: largest relative gap allowed between the all-pairs and the direct hitting-time solve
 HITTING_CHECK_RTOL = 1e-9
+#: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``mixing_rate`` takes P as reversible
+REVERSIBLE_TOL = 1e-10
 
 
 class UnreachableStateError(ValueError):
@@ -354,12 +356,37 @@ def stationary_distribution(P: StochasticMatrix,
     return Distribution(pi / pi.sum())
 
 
-def mixing_rate(P: StochasticMatrix) -> float:
-    """Second-largest eigenvalue modulus; the asymptotic per-step contraction."""
+def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) -> float:
+    """Second-largest eigenvalue modulus; the asymptotic per-step contraction.
+
+    Given a stationary law pi with every entry positive, S = D_pi^1/2 P
+    D_pi^-1/2 is similar to P, and symmetric exactly when P is reversible
+    (pi_i P_ij = pi_j P_ji), as every random walk on a map is. When
+    max |S - S^T| <= REVERSIBLE_TOL (1e-10) the spectrum comes from the
+    symmetric solver ``eigvalsh`` on S (Levin, Peres & Wilmer, *Markov Chains
+    and Mixing Times*, section 12.1); it then lies within about
+    n * REVERSIBLE_TOL of P's (Bauer-Fike). Otherwise, and without
+    ``stationary``, it comes from the general ``eigvals`` of P.
+    """
     if P.n == 1:
         return 0.0
-    mods = np.sort(np.abs(np.linalg.eigvals(P.entries)))[::-1]
+    S = None if stationary is None else _symmetrized(P, stationary)
+    eigenvalues = np.linalg.eigvals(P.entries) if S is None else np.linalg.eigvalsh(S)
+    mods = np.sort(np.abs(eigenvalues))[::-1]
     return float(mods[1])
+
+
+def _symmetrized(P: StochasticMatrix, pi: Distribution) -> np.ndarray | None:
+    """S = D_pi^1/2 P D_pi^-1/2 when pi > 0 and max |S - S^T| <= REVERSIBLE_TOL, else None."""
+    if pi.n != P.n:
+        raise ValueError(f"distribution has {pi.n} states but matrix has {P.n}")
+    root = np.sqrt(pi.probs)
+    if not np.all(root > 0):
+        return None
+    S = P.entries * root[:, None]
+    S /= root
+    asym = S - S.T
+    return S if np.abs(asym, out=asym).max() <= REVERSIBLE_TOL else None
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -438,7 +465,7 @@ def analyze(P: StochasticMatrix) -> ChainAnalysis:
     stationary = rate = t_mix = None
     if irreducible:
         stationary = stationary_distribution(P, classes)
-        rate = mixing_rate(P)
+        rate = mixing_rate(P, stationary=stationary)
         t_mix = mixing_time(P, stationary=stationary, period=periods[0])
     return ChainAnalysis(
         classes=tuple(tuple(c) for c in classes),

@@ -236,10 +236,15 @@ def cmd_track(args: argparse.Namespace) -> int:
     times = trace.t.tolist()
     events: list[pipeline.AlertEvent] = []
     blocked: set[int] = set()
-    for t, v in zip(times, smoothed):
+    for k, (t, v) in enumerate(zip(times, smoothed)):
         here = mapgraph.LocalPoint(float(pos[v, 0]), float(pos[v, 1]))
-        warnings = pipeline.detect(here, t, obstacles, profile,
-                                   safer_distance=args.safer_distance)
+        try:
+            warnings = pipeline.detect(here, t, obstacles, profile,
+                                       safer_distance=args.safer_distance)
+        except pipeline.ObstacleRangeError as exc:  # name the fix's time by its line
+            if not args.trace:
+                raise
+            raise ValueError(f"trace line {lines[k]}: {exc}") from None
         if warnings:
             events.extend(warnings)
             events.append(pipeline.AlertEvent(

@@ -20,8 +20,10 @@ DEFAULT_TAIL_TOL = 1e-9
 # floats cannot certify tails below ~1e-16; keep a safe margin
 MIN_TAIL_TOL = 1e-13
 MAX_TAIL_TOL = 1e-6
-#: widest Poisson window ``transient`` sums; one matrix product per term
+#: widest Poisson window ``transient`` sums; about 2 sqrt(terms) matrix products
 MAX_WINDOW_TERMS = 1_000_000
+#: bytes of the powers P, P**2, ..., P**s that ``transient`` holds for its sum
+POWER_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,28 +222,57 @@ def _check_tol(tol: float) -> None:
 def transient(chain: UniformizedChain, t: float, tol: float = DEFAULT_TAIL_TOL) -> StochasticMatrix:
     """Transient law P(t) = sum_n pmf(n; rate*t) P**n, summed over a Poisson window.
 
-    Only the terms of ``poisson_window`` are summed: P**L for the window's first
-    index L takes O(log L) products by squaring, then each further term one
-    product, so the work is O(sqrt(rate*t) + log(rate*t)) products rather than
-    O(rate*t). Every P**n has unit row sums, so each row of the sum is scaled
-    to the window's mass, which removes the rounding drift of the products
-    (2.8e-12 after 4,800 products on a 48-state grid). Rows sum to the mass
-    within rounding, so to a value in [1 - tol, 1]: the deficit is left in
-    place rather than renormalized, so the truncation error stays visible.
+    Only the m terms of ``poisson_window`` are summed: P**L for the window's
+    first index L takes O(log L) products by squaring, and the polynomial
+    sum_k pmf(L + k) P**k takes about 2 sqrt(m) more (``_power_sum``). The
+    window holds m = O(sqrt(rate*t)) terms, so the work is
+    O((rate*t)**(1/4) + log(rate*t)) products rather than O(rate*t). Every
+    P**n has unit row sums, so each row of the sum is scaled to the window's
+    mass, which removes the rounding drift of the products. Rows sum to the
+    mass within rounding, so to a value in [1 - tol, 1]: the deficit is left
+    in place rather than renormalized, so the truncation error stays visible.
     """
     left, weights = poisson_window(chain.rate, t, tol)  # checks t and tol
     P = chain.jump_chain.entries
-    term = np.linalg.matrix_power(P, left)
-    acc = weights[0] * term
-    for w in weights[1:]:
-        term = term @ P
-        acc += w * term
+    acc = np.matmul(np.linalg.matrix_power(P, left), _power_sum(P, weights))
     acc *= (math.fsum(weights) / acc.sum(axis=1))[:, None]
     over = acc.sum(axis=1) > 1.0
     while over.any():  # a mass within an ulp of 1 can scale a row to 1 + ulp: shave it
         acc[over] *= 1.0 - sys.float_info.epsilon
         over = acc.sum(axis=1) > 1.0
     return StochasticMatrix(acc, row_sum_tol=tol + 1e-12)
+
+
+def _power_sum(P: np.ndarray, weights: list[float]) -> np.ndarray:
+    """sum_k weights[k] P**k in about 2 sqrt(m) matrix products for m weights.
+
+    Paterson & Stockmeyer, "On the number of nonscalar multiplications
+    necessary to evaluate polynomials", SIAM J. Comput. 2(1), 1973: with the
+    powers P, ..., P**s held, each block of s weights sum_i w[j + i] P**i is
+    one weighted sum of the held powers (its P**0 term goes on the diagonal),
+    and Horner's rule over the blocks in P**s takes one product per block.
+    s = floor(sqrt(m)), or fewer when s powers would pass POWER_STACK_BYTES,
+    and at least 1; at s = 1 the held power is P itself, so this holds no
+    more n x n arrays than the term-by-term sum.
+    """
+    n, w = P.shape[0], np.asarray(weights)
+    s = max(1, min(math.isqrt(w.size), POWER_STACK_BYTES // P.nbytes))
+    powers = P[None]  # powers[i] = P**(i + 1)
+    if s > 1:
+        powers = np.empty((s, n, n))
+        powers[0] = P
+        for i in range(1, s):
+            np.matmul(powers[i - 1], P, out=powers[i])
+    flat = powers.reshape(s, n * n)
+    acc = np.zeros((n, n))
+    for j in reversed(range(0, w.size, s)):  # the block of weights j, ..., j + s - 1
+        if j + s < w.size:
+            acc = np.matmul(acc, powers[-1])
+        k = min(s, w.size - j) - 1  # the block's terms past P**0
+        if k:
+            acc += (w[j + 1:j + 1 + k] @ flat[:k]).reshape(n, n)
+        acc.flat[::n + 1] += w[j]
+    return acc
 
 
 def sojourn_mean(chain: UniformizedChain) -> float:

@@ -45,6 +45,10 @@ class TrellisError(FixError):
     """Smoothing found no positive-probability state sequence up to fix ``fix``."""
 
 
+class ObstacleRangeError(ValueError):
+    """A moving obstacle's position at some time leaves the float range."""
+
+
 #: truth column entry of a fix whose generating vertex is unknown; the trace
 #: parser rejects this value, so it never stands for a vertex id, valid or not
 NO_TRUTH = np.iinfo(np.int64).min
@@ -139,8 +143,11 @@ class Obstacle:
             raise ValueError(f"stationary obstacle {self.id} has non-zero velocity {self.velocity!r}")
 
     def position_at(self, t: float) -> LocalPoint:
-        return LocalPoint(self.position.x + self.velocity[0] * t,
-                          self.position.y + self.velocity[1] * t)
+        """Position at time t; ObstacleRangeError if it leaves the float range."""
+        x, y = self.position.x + self.velocity[0] * t, self.position.y + self.velocity[1] * t
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ObstacleRangeError(f"obstacle {self.id} leaves the float range at t = {t!r}")
+        return LocalPoint(x, y)
 
 
 @dataclass(frozen=True)

@@ -559,6 +559,33 @@ class TestInputContract:
         assert not out.exists()
 
     @pytest.mark.parametrize("source, named", [
+        ("walk", "error: obstacle 4 leaves the float range at t = "),
+        ("file", "error: trace line 4: obstacle 4 leaves the float range at t = 1e+308"),
+    ], ids=["simulated", "trace_file"])
+    def test_moving_obstacle_leaves_float_range(self, tmp_path, line_map, capsys, source, named):
+        # x + vx * t overflows at a late fix time (file) or for a huge velocity (simulated)
+        out = tmp_path / "out"
+        obstacles = tmp_path / "obstacles.json"
+        vx = 10.0 if source == "file" else 1e308
+        obstacles.write_text(json.dumps([{"id": 4, "kind": "moving", "x": 0, "y": 0,
+                                          "vx": vx, "vy": 0}]), encoding="utf-8")
+        argv = ["track", "--map", line_map, "--obstacles", str(obstacles), "--out-dir", str(out)]
+        if source == "walk":
+            argv += ["--steps", "3"]
+        else:
+            trace = tmp_path / "trace.csv"  # a blank line 3: lines are counted as in the file
+            trace.write_text("t_s,x_m,y_m\n0.0,0.0,0.0\n\n1e308,5.8,0.0\n", encoding="utf-8")
+            argv += ["--trace", str(trace)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(named) and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, named", [
         ("noise", "error: --noise-sigma 100000.0: no state has positive probability at fix 0; "
                   "widen emission_sigma"),
         ("file", "error: trace line 4: no positive-probability path survives to fix 1; "

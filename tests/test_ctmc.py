@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -185,27 +187,23 @@ class TestTransient:
 
 
 def _full_sum_transient(P: np.ndarray, rate: float, t: float, tol: float) -> np.ndarray:
-    """The series summed from n = 0 to the first N holding mass 1 - tol (the former method).
+    """The series summed from n = 0 to the first N holding mass 1 - tol (the first method).
 
-    Where the plain log-space pmf loses too many digits to reach 1 - tol, the
-    former method raised at its cap; here the sum runs on to the cap instead.
+    The terms come from Loader's ``poisson_pmf``: the plain log-space pmf is
+    itself 5.7e-14 off at rate * t = 233, more than the smallest tol.
     """
     mu = rate * t
-
-    def pmf(n):
-        return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-
-    mass, N = pmf(0), 0
+    mass, N = poisson_pmf(rate, t, 0), 0
     cap = int(mu + 50.0 * math.sqrt(mu + 4.0)) + 64
     while mass < 1.0 - tol and N < cap:
         N += 1
-        mass += pmf(N)
+        mass += poisson_pmf(rate, t, N)
     acc = np.zeros(P.shape)
     term = np.eye(P.shape[0])
     for n in range(N + 1):
         if n > 0:
             term = term @ P
-        acc += pmf(n) * term
+        acc += poisson_pmf(rate, t, n) * term
     return acc
 
 
@@ -275,6 +273,9 @@ class TestPoissonWindow:
 class TestWindowedTransient:
     @given(stochastic_matrices(max_n=5), st.floats(0.1, 5.0), st.floats(0.0, 60.0), _TOLS)
     @settings(max_examples=60)
+    # 0 -> 1, 1 absorbing at rate * t = 232.8: the log-space pmf put the oracle's row 0 at 1 + 5.7e-14
+    @example(P=StochasticMatrix.from_csr([0, 1, 2], [1, 1], [1.0, 1.0]), rate=4.663595336275376,
+             t=49.91485058481124, tol=1e-13)
     def test_matches_full_sum(self, P, rate, t, tol):
         got = transient(UniformizedChain(P, rate), t, tol=tol).entries
         if rate * t == 0.0:
@@ -336,6 +337,66 @@ class TestWindowedTransient:
         # the full sum took about mu + 8 sqrt(mu) products: 101,896 at mu = 1e5
         products = 2 * left.bit_length() + len(w) - 1
         assert products <= 20 * math.sqrt(mu) + 2 * math.log2(mu) + 40
+
+
+def _term_by_term_transient(chain: UniformizedChain, t: float, tol: float) -> np.ndarray:
+    """The window summed one product per term, P**L @ P @ P ... (the method before Paterson-Stockmeyer)."""
+    left, weights = poisson_window(chain.rate, t, tol)
+    P = chain.jump_chain.entries
+    term = np.linalg.matrix_power(P, left)
+    acc = weights[0] * term
+    for w in weights[1:]:
+        term = term @ P
+        acc += w * term
+    acc *= (math.fsum(weights) / acc.sum(axis=1))[:, None]
+    over = acc.sum(axis=1) > 1.0
+    while over.any():
+        acc[over] *= 1.0 - sys.float_info.epsilon
+        over = acc.sum(axis=1) > 1.0
+    return acc
+
+
+class TestPowerSum:
+    """Paterson-Stockmeyer window sums against the term-by-term loop, and their product count."""
+
+    @pytest.mark.parametrize("stack", ["1", "2", "sqrt"])
+    @given(stochastic_matrices(max_n=6), st.floats(-1.0, 5.0), _TOLS)
+    @settings(max_examples=40)
+    def test_matches_term_by_term_sum(self, stack, P, log_mu, tol):
+        chain = UniformizedChain(P, 1.0)
+        mu = 10.0 ** log_mu
+        budget = {"1": P.entries.nbytes, "2": 2 * P.entries.nbytes, "sqrt": 1 << 40}[stack]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ctmc, "POWER_STACK_BYTES", budget)  # holds s = 1, s = 2 or floor(sqrt(m)) powers
+            got = transient(chain, mu, tol=tol).entries
+        assert np.abs(got - _term_by_term_transient(chain, mu, tol)).max() <= 1e-14
+        sums = got.sum(axis=1)
+        assert np.all(sums >= 1.0 - tol) and np.all(sums <= 1.0)
+
+    @pytest.mark.parametrize("mu", [0.5, 37.5, 1e3, 1e4, 1e5])
+    def test_products_grow_with_sqrt_of_window(self, mu, monkeypatch):
+        # every n x n product goes through np.matmul, matrix_power's too
+        products, windows = [], []
+        matmul, window = np.matmul, ctmc.poisson_window
+
+        def count_matmul(a, b, *args, **kwargs):
+            if np.ndim(a) == 2 and np.ndim(b) == 2:
+                products.append(np.shape(a))
+            return matmul(a, b, *args, **kwargs)
+
+        def record_window(*args):
+            windows.append(window(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(np, "matmul", count_matmul)
+        monkeypatch.setitem(inspect.unwrap(np.linalg.matrix_power).__globals__, "matmul", count_matmul)
+        monkeypatch.setattr(ctmc, "poisson_window", record_window)
+        P = random_walk_matrix(grid_graph(2, 3, 1.0))
+        transient(UniformizedChain(P, 1.0), mu, tol=1e-13)
+        (left, weights), = windows
+        assert products and products == [(P.n, P.n)] * len(products)
+        # 164 products for the 4,762 terms at mu = 1e5; the loop took one per term
+        assert len(products) <= 2 * math.sqrt(len(weights)) + 2 * math.log2(max(left, 1)) + 8
 
 
 class TestClock:
