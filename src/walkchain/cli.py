@@ -57,10 +57,19 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _too_dense(args: argparse.Namespace, n: int) -> ValueError:
+    """The error for a MemoryError from the dense n x n algebra of ``--map``'s walk."""
+    return ValueError(f"--map {args.map}: {n} states do not fit the dense algebra in memory "
+                      f"(one n x n matrix needs {8 * n * n} bytes)")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.map)
     P = mapgraph.random_walk_matrix(g)
-    report = chains.analyze(P)
+    try:  # before any artifact is written
+        report = chains.analyze(P)
+    except MemoryError:
+        raise _too_dense(args, g.n) from None
     out = Path(args.out_dir)
 
     if not report.irreducible:
@@ -160,13 +169,16 @@ def cmd_transient(args: argparse.Namespace) -> int:
     g = _load_graph(args.map)
     P = mapgraph.random_walk_matrix(g)
     chain = ctmc.UniformizedChain(jump_chain=P, rate=args.rate)
-    out = Path(args.out_dir)
-    with _artifact(out / "generator.csv") as fh:
-        chains.array_to_csv(ctmc.generator(chain).entries, fh)
-    try:
+    try:  # before any artifact is written
+        Q = ctmc.generator(chain)
         Pt = ctmc.transient(chain, args.time, tol=args.tolerance)
     except ctmc.PoissonWindowError as exc:
         raise ValueError(f"--tolerance {args.tolerance!r} cannot be met: {exc}") from exc
+    except MemoryError:
+        raise _too_dense(args, g.n) from None
+    out = Path(args.out_dir)
+    with _artifact(out / "generator.csv") as fh:
+        chains.array_to_csv(Q.entries, fh)
     with _artifact(out / "transient.csv") as fh:
         chains.matrix_to_csv(Pt, fh)
     return 0

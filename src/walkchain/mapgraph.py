@@ -167,14 +167,31 @@ def _require(cond: bool, field_name: str, problem: str) -> None:
         raise MapSchemaError(f"{field_name}: {problem}")
 
 
-def _get_number(obj: dict, field_name: str, key: str) -> float:
-    _require(key in obj, f"{field_name}.{key}", "missing")
-    val = obj[key]
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"{field_name}.{key}", f"expected a number, got {val!r}")
+def _document(text: str, what: str, error: type[ValueError] = MapSchemaError):
+    """The JSON value of ``text``; an ``error`` naming ``what`` when it is not valid JSON."""
     try:
-        return float(val)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # the latter: nested too deep
+        raise error(f"{what}: not valid JSON ({exc})") from exc
+
+
+def _get_number(obj: dict, where: str, key: str, error: type[ValueError] = MapSchemaError,
+                default: float | None = None, integer: bool = False) -> float:
+    """Finite JSON number (an int if ``integer``, never a bool) ``obj[key]``, or ``default``."""
+    if default is None and key not in obj:
+        raise error(f"{where}.{key}: missing")
+    val = obj.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        raise error(f"{where}.{key}: expected {'an integer' if integer else 'a number'}, got {val!r}")
+    if integer:
+        return val
+    try:
+        num = float(val)
     except OverflowError:  # an integer beyond the float range
-        raise MapSchemaError(f"{field_name}.{key}: number out of range, got {val!r}") from None
+        raise error(f"{where}.{key}: number out of range, got {val!r}") from None
+    if not math.isfinite(num):  # NaN, Infinity and 1e999 parse to these
+        raise error(f"{where}.{key}: expected a finite number, got {val!r}")
+    return num
 
 
 def load_map(document: str) -> PathGraph:
@@ -190,10 +207,7 @@ def load_map(document: str) -> PathGraph:
     styles cannot be mixed in one document. Geodetic vertices are projected
     about ``origin``, defaulting to the first vertex when no origin is given.
     """
-    try:
-        doc = json.loads(document)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-        raise MapSchemaError(f"document: not valid JSON ({exc})") from exc
+    doc = _document(document, "document")
     _require(isinstance(doc, dict), "document", "top level must be an object")
     _require("vertices" in doc, "vertices", "missing")
     _require(isinstance(doc["vertices"], list), "vertices", "expected a list")
@@ -214,25 +228,22 @@ def load_map(document: str) -> PathGraph:
     origin: GeoPoint | None = None
     if "origin" in doc and doc["origin"] is not None:
         _require(isinstance(doc["origin"], dict), "origin", "expected an object")
+        lat, lon = (_get_number(doc["origin"], "origin", key) for key in ("lat", "lon"))
         try:
-            origin = GeoPoint(_get_number(doc["origin"], "origin", "lat"),
-                              _get_number(doc["origin"], "origin", "lon"))
+            origin = GeoPoint(lat, lon)
         except ValueError as exc:
             raise MapSchemaError(f"origin: {exc}") from exc
 
     vertices: list[Vertex] = []
     for k, rv in enumerate(raw_vertices):
         fname = f"vertices[{k}]"
-        _require("id" in rv, f"{fname}.id", "missing")
-        vid = rv["id"]
-        _require(isinstance(vid, int) and not isinstance(vid, bool), f"{fname}.id", f"expected an integer, got {vid!r}")
+        vid = _get_number(rv, fname, "id", integer=True)
         label = rv.get("label", "")
         _require(isinstance(label, str), f"{fname}.label", f"expected a string, got {label!r}")
         if geodetic:
+            lat, lon = _get_number(rv, fname, "lat"), _get_number(rv, fname, "lon")
             try:
-                gp = GeoPoint(_get_number(rv, fname, "lat"), _get_number(rv, fname, "lon"))
-            except MapSchemaError:
-                raise
+                gp = GeoPoint(lat, lon)
             except ValueError as exc:
                 raise MapSchemaError(f"{fname}: {exc}") from exc
             if origin is None:

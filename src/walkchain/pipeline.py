@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .chains import StochasticMatrix, _join_or_write, _transitions, sample_path
-from .mapgraph import LocalPoint, PathGraph
+from .mapgraph import LocalPoint, PathGraph, _document, _get_number
 from .profiles import WalkingProfile
 
 #: localization error (m) of the GPS+compass prototype this simulation models
@@ -624,39 +624,29 @@ def trace_from_csv(text: str, profile_name: str = "") -> Trace:
         raise ValueError(f"trace line {rows[exc.fix][0]}: {exc.field}: {exc}") from None
 
 
-def _obstacle_number(item: dict, k: int, key: str, convert=float):
-    """Field ``key`` of obstacle ``k`` (0 when absent) converted by ``convert``."""
-    val = item.get(key, 0.0)
-    try:
-        return convert(val)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"obstacle[{k}].{key}: expected a number, got {val!r}") from None
-
-
 def obstacles_from_json(text: str) -> list[Obstacle]:
     """Parse an obstacle file: a JSON list of {id, kind, x, y, vx, vy} with distinct ids."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-        raise ValueError(f"obstacle file: not valid JSON ({exc})") from exc
+    doc = _document(text, "obstacle file", ValueError)
     if not isinstance(doc, list):
         raise ValueError("obstacle file: top level must be a list")
     out = []
     seen_ids: set[int] = set()
     for k, item in enumerate(doc):
+        where = f"obstacle[{k}]"
         if not isinstance(item, dict):
-            raise ValueError(f"obstacle[{k}]: expected an object, got {item!r}")
+            raise ValueError(f"{where}: expected an object, got {item!r}")
         for key in ("id", "kind", "x", "y"):
             if key not in item:
-                raise ValueError(f"obstacle[{k}]: missing field {key!r}")
-        oid = _obstacle_number(item, k, "id", int)
+                raise ValueError(f"{where}: missing field {key!r}")
+        oid = _get_number(item, where, "id", ValueError, integer=True)
         if oid in seen_ids:
-            raise ValueError(f"obstacle[{k}].id: duplicate id {oid}")
+            raise ValueError(f"{where}.id: duplicate id {oid}")
         seen_ids.add(oid)
-        out.append(Obstacle(
-            id=oid,
-            kind=str(item["kind"]),
-            position=LocalPoint(_obstacle_number(item, k, "x"), _obstacle_number(item, k, "y")),
-            velocity=(_obstacle_number(item, k, "vx"), _obstacle_number(item, k, "vy")),
-        ))
+        x, y, vx, vy = (_get_number(item, where, key, ValueError, default=0.0)
+                        for key in ("x", "y", "vx", "vy"))
+        try:
+            out.append(Obstacle(id=oid, kind=str(item["kind"]), position=LocalPoint(x, y),
+                                velocity=(vx, vy)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return out

@@ -8,10 +8,11 @@ measured for cane-assisted walking on familiar outdoor routes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+from .mapgraph import _document, _get_number
 
 MODE_EXACT = "exact"
 MODE_PAPER_ROUNDED = "paper_rounded"
@@ -155,24 +156,14 @@ def table_to_csv(rows: Sequence[ComparisonRow]) -> str:
 
 def load_profile(text: str) -> WalkingProfile:
     """Parse a profile config document: {"name", "step_length_m", "step_period_s"}."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-        raise ValueError(f"profile config: not valid JSON ({exc})") from exc
+    doc = _document(text, "profile config", ValueError)
     if not isinstance(doc, dict):
         raise ValueError("profile config: top level must be an object")
     for key in ("name", "step_length_m", "step_period_s"):
         if key not in doc:
             raise ValueError(f"profile config: missing field {key!r}")
-
-    def number(key: str) -> float:
-        try:
-            return float(doc[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"profile config: {key} must be a number, got {doc[key]!r}") from None
-
     return WalkingProfile(
         name=str(doc["name"]),
-        step_length=number("step_length_m"),
-        step_period=number("step_period_s"),
+        step_length=_get_number(doc, "profile config", "step_length_m", ValueError),
+        step_period=_get_number(doc, "profile config", "step_period_s", ValueError),
     )

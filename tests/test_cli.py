@@ -12,6 +12,7 @@ import pytest
 
 from walkchain import (
     BLIND,
+    StochasticMatrix,
     Trace,
     add_noise,
     array_from_csv,
@@ -470,6 +471,41 @@ class TestInputContract:
         assert rc == 1
         assert "obstacle[1].id: duplicate id 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("obstacle, named", [
+        ({"id": 2, "kind": "bogus", "x": 0, "y": 0},
+         "obstacle[1]: obstacle kind must be one of ('stationary', 'moving'), got 'bogus'"),
+        ({"id": 2, "kind": "stationary", "x": 0, "y": 0, "vx": 1},
+         "obstacle[1]: stationary obstacle 2 has non-zero velocity (1.0, 0.0)"),
+    ], ids=["unknown_kind", "stationary_with_velocity"])
+    def test_obstacle_faults_name_the_obstacle(self, tmp_path, line_map, capsys, obstacle, named):
+        obstacles = tmp_path / "obstacles.json"
+        obstacles.write_text(json.dumps([{"id": 1, "kind": "stationary", "x": 0, "y": 0},
+                                         obstacle]), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["track", "--map", line_map, "--steps", "3", "--obstacles", str(obstacles),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["transient", "--rate", "1", "--time", "1"]],
+                             ids=["analyze", "transient"])
+    def test_dense_algebra_beyond_memory_names_the_map(self, tmp_path, line_map, capsys,
+                                                       monkeypatch, argv):
+        # the dense view fails as numpy does when n x n floats exceed the memory left
+        def no_memory(self):
+            raise MemoryError
+
+        monkeypatch.setattr(StochasticMatrix, "entries", property(no_memory))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main([*argv, "--map", line_map, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --map {line_map}: 3 states do not fit the dense algebra in memory "
+            "(one n x n matrix needs 72 bytes)\n")
+        assert list(out.iterdir()) == []
+
     def test_profile_config_with_null_step_length(self, tmp_path, line_map, capsys):
         config = tmp_path / "profile.json"
         config.write_text(json.dumps({"name": "slow", "step_length_m": None,
@@ -663,4 +699,77 @@ class TestInputContract:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: distances file {named}\n"
+        assert not out.exists()
+
+
+# valid documents of each kind whose number fields the test below spoils one at a time
+_NUMBER_DOCUMENTS = {
+    "map": {"vertices": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 5.8, "y": 0.0}],
+            "edges": [[0, 1]]},
+    "geodetic_map": {"origin": {"lat": 40.0, "lon": -75.0},
+                     "vertices": [{"id": 0, "lat": 40.0, "lon": -75.0},
+                                  {"id": 1, "lat": 40.0001, "lon": -75.0}],
+                     "edges": [[0, 1]]},
+    "obstacles": [{"id": 0, "kind": "moving", "x": 3.0, "y": 0.0, "vx": 0.1, "vy": 0.0}],
+    "profile": {"name": "slow", "step_length_m": 0.58, "step_period_s": 2.7},
+}
+# (document, keys down to the field, the field's path in the error)
+_NUMBER_FIELDS = [
+    ("map", ("vertices", 1, "id"), "vertices[1].id"),
+    ("map", ("vertices", 1, "x"), "vertices[1].x"),
+    ("map", ("vertices", 1, "y"), "vertices[1].y"),
+    ("geodetic_map", ("origin", "lat"), "origin.lat"),
+    ("geodetic_map", ("origin", "lon"), "origin.lon"),
+    ("geodetic_map", ("vertices", 1, "lat"), "vertices[1].lat"),
+    ("geodetic_map", ("vertices", 1, "lon"), "vertices[1].lon"),
+    ("obstacles", (0, "id"), "obstacle[0].id"),
+    ("obstacles", (0, "x"), "obstacle[0].x"),
+    ("obstacles", (0, "y"), "obstacle[0].y"),
+    ("obstacles", (0, "vx"), "obstacle[0].vx"),
+    ("obstacles", (0, "vy"), "obstacle[0].vy"),
+    ("profile", ("step_length_m",), "profile config.step_length_m"),
+    ("profile", ("step_period_s",), "profile config.step_period_s"),
+]
+# JSON tokens that are no finite number: json.loads reads the first four as floats
+_NOT_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e999", "true", '"3"', "null"]
+
+
+def _spoiled_cases():
+    for document, keys, path in _NUMBER_FIELDS:
+        for token in _NOT_NUMBERS + (["2.7"] if keys[-1] == "id" else []):
+            yield pytest.param(document, keys, path, token, id=f"{path}={token}".replace('"', "'"))
+
+
+def _number_fields_argv(document: str, path: str, line_map: str, out: str) -> list[str]:
+    if document.endswith("map"):
+        return ["analyze", "--map", path, "--out-dir", out]
+    flag = "--obstacles" if document == "obstacles" else "--profile-config"
+    command = "track" if document == "obstacles" else "simulate"
+    return [command, "--map", line_map, "--steps", "3", flag, path, "--out-dir", out]
+
+
+class TestNumberFields:
+    """Every number field of a map, obstacle file or profile config is a finite JSON number."""
+
+    @pytest.mark.parametrize("document", sorted(_NUMBER_DOCUMENTS))
+    def test_documents_are_valid(self, tmp_path, line_map, document):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_NUMBER_DOCUMENTS[document]), encoding="utf-8")
+        argv = _number_fields_argv(document, str(path), line_map, str(tmp_path / "out"))
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("document, keys, field, token", _spoiled_cases())
+    def test_a_spoiled_field_is_named(self, tmp_path, line_map, capsys, document, keys, field,
+                                      token):
+        doc = json.loads(json.dumps(_NUMBER_DOCUMENTS[document]))  # a deep copy
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = "@token@"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"@token@"', token), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(_number_fields_argv(document, str(path), line_map, str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
         assert not out.exists()
