@@ -18,6 +18,10 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 #: steps after which mixing-time search gives up (periodic chains never mix)
 MIXING_TIME_CAP = 10_000
+#: ``mixing_time`` holds P**(2**j) for each j divisible by this and rebuilds the levels between
+MIXING_LEVEL_STRIDE = 2
+#: bytes of each row block of |P**t - pi| that ``mixing_time`` sums at once
+_MIXING_BLOCK_BYTES = 1 << 20
 #: largest relative gap allowed between the all-pairs and the direct hitting-time solve
 HITTING_CHECK_RTOL = 1e-9
 #: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``mixing_rate`` takes P as reversible
@@ -356,8 +360,14 @@ def stationary_distribution(P: StochasticMatrix,
     return Distribution(pi / pi.sum())
 
 
-def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) -> float:
+def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None,
+                period: int | None = None) -> float:
     """Second-largest eigenvalue modulus; the asymptotic per-step contraction.
+
+    A caller that knows P is irreducible with period d passes it as
+    ``period``: when d > 1 every d-th root of unity is an eigenvalue
+    (Perron-Frobenius; Seneta, *Non-negative Matrices and Markov Chains*,
+    ch. 1), so the answer is exactly 1.0 and no spectrum is computed.
 
     Given a stationary law pi with every entry positive, S = D_pi^1/2 P
     D_pi^-1/2 is similar to P, and symmetric exactly when P is reversible
@@ -370,6 +380,8 @@ def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) 
     """
     if P.n == 1:
         return 0.0
+    if period is not None and period > 1:
+        return 1.0
     S = None if stationary is None else _symmetrized(P, stationary)
     eigenvalues = np.linalg.eigvals(P.entries) if S is None else np.linalg.eigvalsh(S)
     mods = np.sort(np.abs(eigenvalues))[::-1]
@@ -412,10 +424,13 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
 
     Otherwise the search uses that d(t) never increases (Levin, Peres &
     Wilmer, *Markov Chains and Mixing Times*, section 4.4). Squaring brackets
-    the answer in (s, 2s] with s a power of two; binary lifting from P**s then
-    adds jumps s/2, s/4, ..., 1 while d stays above eps, rebuilding each
-    P**jump by squaring. That takes O(log(t)^2) matrix products in place of t,
-    and at most three n x n arrays besides P.
+    the answer in (s, 2s] with s = 2**k; binary lifting from P**s then adds
+    jumps s/2, s/4, ..., 1 while d stays above eps. The squaring keeps level
+    P**(2**j) for every j divisible by MIXING_LEVEL_STRIDE, and the lifting
+    rebuilds each other jump by squaring the held level below it, so every
+    jump is the same chain of squarings from P, bit for bit. That takes
+    2k + 1 + sum(j % MIXING_LEVEL_STRIDE for j < k) matrix products, and
+    about ceil(k / MIXING_LEVEL_STRIDE) + 3 n x n arrays besides P.
     """
     if stationary is None or period is None:
         classes, _, periods = _class_structure(P)
@@ -424,29 +439,38 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
     if cap < 1 or (period > 1 and eps < 0.5):
         return None
     pi = stationary.probs[None, :]
+    rows = max(1, _MIXING_BLOCK_BYTES // (8 * P.n))
 
     def above(M: np.ndarray) -> bool:
-        D = M - pi
-        np.abs(D, out=D)
-        return 0.5 * D.sum(axis=1).max() > eps
+        for lo in range(0, P.n, rows):
+            D = M[lo:lo + rows] - pi
+            np.abs(D, out=D)
+            if 0.5 * D.sum(axis=1).max() > eps:
+                return True
+        return False
 
+    held = {}  # level j -> P**(2**j), for the j < k divisible by the stride
     s, M = 1, P.entries  # invariant: M = P**s and d(s) > eps
     if not above(M):
         return 1
     while 2 * s <= cap:
-        M2 = M @ M
+        M2 = np.matmul(M, M)
         if not above(M2):
             break
+        j = s.bit_length() - 1
+        if j % MIXING_LEVEL_STRIDE == 0:
+            held[j] = M
         s, M = 2 * s, M2
     M2 = None  # P**(2s) is not needed below
     # d(s) > eps and d(2s) <= eps unless 2s > cap; lifting ends at the last t < 2s
     # with d(t) > eps, and t >= cap then means d(cap) > eps
     t = s
     for j in range(s.bit_length() - 2, -1, -1):
-        B = P.entries
-        for _ in range(j):
-            B = B @ B
-        C = M @ B
+        base = j - j % MIXING_LEVEL_STRIDE
+        B = held[base] if base < j else held.pop(j)
+        for _ in range(j - base):
+            B = np.matmul(B, B)
+        C = np.matmul(M, B)
         del B
         if above(C):
             t, M = t + (1 << j), C
@@ -465,7 +489,7 @@ def analyze(P: StochasticMatrix) -> ChainAnalysis:
     stationary = rate = t_mix = None
     if irreducible:
         stationary = stationary_distribution(P, classes)
-        rate = mixing_rate(P, stationary=stationary)
+        rate = mixing_rate(P, stationary=stationary, period=periods[0])
         t_mix = mixing_time(P, stationary=stationary, period=periods[0])
     return ChainAnalysis(
         classes=tuple(tuple(c) for c in classes),

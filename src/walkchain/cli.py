@@ -219,6 +219,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     g = _load_graph(args.map)
     P = mapgraph.random_walk_matrix(g)
     profile = _resolve_profile(args)
+    obstacles = pipeline.obstacles_from_json(_read(args.obstacles)) if args.obstacles else []
     out = Path(args.out_dir)
 
     if args.trace:
@@ -241,8 +242,6 @@ def cmd_track(args: argparse.Namespace) -> int:
                   f"--noise-sigma {args.noise_sigma!r}")
         raise ValueError(f"{source}: {exc}") from None
     errors.append(f"reference_prototype,{pipeline.REFERENCE_FIELD_ERROR_M!r}")
-
-    obstacles = pipeline.obstacles_from_json(_read(args.obstacles)) if args.obstacles else []
 
     pos = g.positions()
     times = trace.t.tolist()

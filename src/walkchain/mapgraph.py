@@ -217,7 +217,8 @@ def load_map(document: str) -> PathGraph:
     raw_vertices = doc["vertices"]
     styles = set()
     for k, rv in enumerate(raw_vertices):
-        _require(isinstance(rv, dict), f"vertices[{k}]", "expected an object")
+        if not isinstance(rv, dict):
+            raise MapSchemaError(f"vertices[{k}]: expected an object")
         if "lat" in rv or "lon" in rv:
             styles.add("geodetic")
         if "x" in rv or "y" in rv:
@@ -239,7 +240,8 @@ def load_map(document: str) -> PathGraph:
         fname = f"vertices[{k}]"
         vid = _get_number(rv, fname, "id", integer=True)
         label = rv.get("label", "")
-        _require(isinstance(label, str), f"{fname}.label", f"expected a string, got {label!r}")
+        if not isinstance(label, str):
+            raise MapSchemaError(f"{fname}.label: expected a string, got {label!r}")
         if geodetic:
             lat, lon = _get_number(rv, fname, "lat"), _get_number(rv, fname, "lon")
             try:
@@ -255,10 +257,12 @@ def load_map(document: str) -> PathGraph:
 
     edges: list[tuple[int, int]] = []
     for k, re in enumerate(doc["edges"]):
-        _require(isinstance(re, list) and len(re) == 2, f"edges[{k}]", f"expected a pair, got {re!r}")
+        if not (isinstance(re, list) and len(re) == 2):
+            raise MapSchemaError(f"edges[{k}]: expected a pair, got {re!r}")
         a, b = re
         for side in (a, b):
-            _require(isinstance(side, int) and not isinstance(side, bool), f"edges[{k}]", f"endpoints must be integers, got {re!r}")
+            if isinstance(side, bool) or not isinstance(side, int):
+                raise MapSchemaError(f"edges[{k}]: endpoints must be integers, got {re!r}")
         edges.append((a, b))
 
     return PathGraph(vertices=tuple(vertices), edges=tuple(edges))

@@ -9,11 +9,8 @@ alert delivery (dispatch) sit on top of the recovered position.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -475,6 +472,12 @@ class WebhookSink:
         self.name = f"webhook:{url}"
 
     def deliver(self, ev: AlertEvent) -> bool:
+        # imported here, so that a run without a webhook never loads the HTTP
+        # stack (http.client pulls in ssl and email: start-up time and memory)
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {"t_s": ev.t, "kind": ev.kind, "distance_m": ev.distance, "message": ev.message}
         ).encode("utf-8")

@@ -15,6 +15,7 @@ from walkchain import chains
 from walkchain import (
     ChainAnalysis,
     Distribution,
+    PathGraph,
     StochasticMatrix,
     UnreachableStateError,
     accessible,
@@ -68,6 +69,14 @@ def path_graph_matrix(n: int) -> StochasticMatrix:
         for j in nbrs:
             P[i, j] = 1.0 / len(nbrs)
     return StochasticMatrix(P)
+
+
+def _triangulated_grid(rows: int, cols: int) -> StochasticMatrix:
+    """Walk on a grid with one diagonal per cell: its triangles make it aperiodic."""
+    g = grid_graph(rows, cols)
+    diagonals = [(r * cols + c, (r + 1) * cols + c + 1)
+                 for r in range(rows - 1) for c in range(cols - 1)]
+    return random_walk_matrix(PathGraph(vertices=g.vertices, edges=g.edges + tuple(diagonals)))
 
 
 class TestValidation:
@@ -339,6 +348,51 @@ class TestSymmetricMixingRate:
             mixing_rate(P, stationary=Distribution(np.array([0.5, 0.5])))
 
 
+def _cyclic_blocks(sizes) -> StochasticMatrix:
+    """Each state moves uniformly onto the next block, the last onto the first: period len(sizes)."""
+    starts = np.cumsum([0, *sizes])
+    P = np.zeros((starts[-1], starts[-1]))
+    for b in range(len(sizes)):
+        nxt = (b + 1) % len(sizes)
+        P[starts[b]:starts[b + 1], starts[nxt]:starts[nxt + 1]] = 1.0 / sizes[nxt]
+    return StochasticMatrix(P)
+
+
+def _cycle_walk(n: int) -> StochasticMatrix:
+    P = np.zeros((n, n))
+    P[np.arange(n), (np.arange(n) + 1) % n] = P[np.arange(n), (np.arange(n) - 1) % n] = 0.5
+    return StochasticMatrix(P)
+
+
+class TestPeriodicMixingRate:
+    """A period d > 1 puts every d-th root of unity in the spectrum: the rate is 1.0 at once."""
+
+    @pytest.mark.parametrize("P, period", [
+        (FLIP, 2), (random_walk_matrix(grid_graph(4, 5)), 2),
+        (random_walk_matrix(grid_graph(8, 8)), 2), (_cycle_walk(6), 2), (_cycle_walk(12), 2),
+        (_cyclic_blocks([1, 1, 1]), 3), (_cyclic_blocks([2, 3, 1]), 3),
+        (_cyclic_blocks([2, 2, 2, 2, 2, 2]), 6),
+    ], ids=["flip", "grid4x5", "grid8x8", "cycle6", "cycle12", "cycle3", "blocks231", "blocks6x2"])
+    def test_matches_eigvals(self, P, period, monkeypatch):
+        a = analyze(P)
+        assert a.periods == (period,) and a.mixing_rate == 1.0
+        roots = np.exp(2j * np.pi * np.arange(period) / period)
+        spectrum = np.linalg.eigvals(P.entries)
+        assert all(np.abs(spectrum - r).min() <= 1e-8 for r in roots)
+        assert abs(np.sort(np.abs(spectrum))[-2] - 1.0) <= 1e-8
+        monkeypatch.setattr(np, "linalg", None)  # no spectrum is computed
+        assert mixing_rate(P, period=period) == 1.0
+        assert mixing_rate(P, stationary=a.stationary, period=period) == 1.0
+
+    @pytest.mark.parametrize("P", [_cycle_walk(7), K3, LAZY_FLIP, _triangulated_grid(4, 4)],
+                             ids=["cycle7", "k3", "lazy_flip", "tri4x4"])
+    def test_aperiodic_chain_keeps_its_spectrum(self, P):
+        a = analyze(P)
+        assert a.periods == (1,)
+        assert mixing_rate(P, period=1) == mixing_rate(P)
+        assert a.mixing_rate == mixing_rate(P, stationary=a.stationary)
+
+
 class TestPassageTimes:
     def test_path_endpoints(self):
         P = path_graph_matrix(4)
@@ -567,6 +621,136 @@ class TestReferenceOracles:
         P = _sm([[0.99, 0.01], [0.01, 0.99]])
         for cap in range(1, 41):
             assert mixing_time(P, cap=cap) == _reference_mixing_time(P, 0.25, cap)[0]
+
+
+def _parent_mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = chains.MIXING_TIME_CAP,
+                        *, stationary=None, period=None):
+    """The mixing-time search before the level cache, as a reference.
+
+    Each lifting jump P**(2**j) is rebuilt from P by j squarings, and d(t) is
+    summed over one n x n temporary. ``np.matmul`` stands for its ``@`` (the
+    same product), so a test can count the products.
+    """
+    if stationary is None or period is None:
+        a = analyze(P)
+        stationary, period = a.stationary, a.periods[0]
+    if cap < 1 or (period > 1 and eps < 0.5):
+        return None
+    pi = stationary.probs[None, :]
+
+    def above(M):
+        D = M - pi
+        np.abs(D, out=D)
+        return 0.5 * D.sum(axis=1).max() > eps
+
+    s, M = 1, P.entries
+    if not above(M):
+        return 1
+    while 2 * s <= cap:
+        M2 = np.matmul(M, M)
+        if not above(M2):
+            break
+        s, M = 2 * s, M2
+    M2 = None
+    t = s
+    for j in range(s.bit_length() - 2, -1, -1):
+        B = P.entries
+        for _ in range(j):
+            B = np.matmul(B, B)
+        C = np.matmul(M, B)
+        del B
+        if above(C):
+            t, M = t + (1 << j), C
+        del C
+    return None if t >= cap else t + 1
+
+
+def _level_bound(k: int) -> int:
+    """Products of the search that brackets t_mix in (2**k, 2**(k + 1)] and stops squaring there."""
+    return 2 * k + 1 + sum(j % chains.MIXING_LEVEL_STRIDE for j in range(k))
+
+
+def _count_products(monkeypatch) -> list:
+    products = []
+    matmul = np.matmul
+
+    def count_matmul(a, b, *args, **kwargs):
+        products.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", count_matmul)
+    return products
+
+
+class TestMixingLevels:
+    """The search with held levels against the search that rebuilds every jump from P."""
+
+    @given(P=st.one_of(connected_graphs(max_n=9).map(random_walk_matrix),
+                       stochastic_matrices(max_n=6)),
+           hold=st.sampled_from([0.0, 0.3, 0.9, 0.99]),
+           eps=st.floats(0.01, 0.6), cap=st.integers(1, 5000))
+    @settings(max_examples=150)
+    def test_matches_the_parent_search(self, P, hold, eps, cap):
+        assume(_irreducible(P))
+        P = _lazy(P, hold) if hold else P
+        assert mixing_time(P, eps, cap) == _parent_mixing_time(P, eps, cap)
+
+    @pytest.mark.parametrize("P", [
+        _triangulated_grid(6, 6), _triangulated_grid(12, 12), _triangulated_grid(9, 14),
+        _lazy(random_walk_matrix(grid_graph(7, 7)), 0.5),
+        _lazy(random_walk_matrix(grid_graph(10, 3)), 0.9),
+    ], ids=["tri6x6", "tri12x12", "tri9x14", "held7x7", "held10x3"])
+    def test_matches_the_parent_search_on_grids(self, P):
+        a = analyze(P)
+        known = {"stationary": a.stationary, "period": a.periods[0]}
+        t_mix = a.mixing_time
+        for eps in (0.05, 0.1, 0.25, 0.4):
+            for cap in sorted({1, 2, 3, 7, 8, 64, t_mix - 1, t_mix, t_mix + 1, 10_000}):
+                assert (mixing_time(P, eps, cap, **known)
+                        == _parent_mixing_time(P, eps, cap, **known)), (eps, cap)
+
+    @pytest.mark.parametrize("hold", [0.7, 0.9, 0.97, 0.99, 0.995, 0.999, 0.9995])
+    def test_products_follow_the_level_stride(self, hold, monkeypatch):
+        # two states: d(t) = 0.5 * (1 - 2a)**t, so t_mix grows as a shrinks
+        a = (1.0 - hold) / 2.0
+        P = _sm([[1.0 - a, a], [a, 1.0 - a]])
+        known = {"stationary": Distribution(np.array([0.5, 0.5])), "period": 1}
+        products = _count_products(monkeypatch)
+        t_mix = mixing_time(P, **known)
+        k = (t_mix - 1).bit_length() - 1  # the lifting ends at t_mix - 1 in [2**k, 2**(k + 1))
+        assert len(products) == _level_bound(k)
+        assert products == [((2, 2), (2, 2))] * len(products)
+        del products[:]
+        assert _parent_mixing_time(P, **known) == t_mix
+        assert len(products) == 2 * k + 1 + k * (k - 1) // 2
+
+    def test_level_bound_is_below_the_parent_count(self):
+        parent = [2 * k + 1 + k * (k - 1) // 2 for k in range(12)]
+        assert all(_level_bound(k) <= parent[k] for k in range(12))
+        assert [k for k in range(3, 12) if _level_bound(k) < parent[k]] == list(range(3, 12))
+        assert _level_bound(7) == 18 and parent[7] == 36  # the n = 324 benchmark map, t_mix = 159
+
+    def test_products_on_a_grid(self, monkeypatch):
+        P = _triangulated_grid(10, 10)
+        a = analyze(P)
+        products = _count_products(monkeypatch)
+        t_mix = mixing_time(P, stationary=a.stationary, period=1)
+        k = (t_mix - 1).bit_length() - 1
+        assert k >= 3 and len(products) == _level_bound(k)
+        assert products == [((P.n, P.n), (P.n, P.n))] * len(products)
+
+    def test_peak_memory_at_n_324(self):
+        P = _triangulated_grid(18, 18)
+        a = analyze(P)  # builds P.entries before the trace starts
+        tracemalloc.start()
+        try:
+            t_mix = mixing_time(P, stationary=a.stationary, period=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = (t_mix - 1).bit_length() - 1
+        assert t_mix == a.mixing_time and k == 7
+        assert peak <= (-(-k // 2) + 3) * 8 * P.n ** 2 + (64 << 10)
 
 
 def _parent_class_period(succ: list[list[int]], members: list[int], class_of: list[int]) -> int:

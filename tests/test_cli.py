@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from walkchain import pipeline
 from walkchain import (
     BLIND,
     StochasticMatrix,
@@ -487,6 +488,32 @@ class TestInputContract:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
+
+    def test_obstacle_file_is_read_before_the_decode(self, tmp_path, line_map, capsys,
+                                                       monkeypatch):
+        # trace line 3 is bad too, but only localization_error, after the decode, finds it
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_s,x_m,y_m,truth_vertex\n0.0,0.0,0.0,0\n1.0,5.8,0.0,3\n",
+                         encoding="utf-8")
+        obstacles = tmp_path / "obstacles.json"
+        obstacles.write_text(json.dumps([{"id": 1, "kind": "stationary", "x": 0, "y": 0},
+                                         {"id": 2, "kind": "bogus", "x": 0, "y": 0}]),
+                             encoding="utf-8")
+        decoded = []
+        snap = pipeline.snap
+
+        def recording_snap(*args):
+            decoded.append(args)
+            return snap(*args)
+
+        monkeypatch.setattr(pipeline, "snap", recording_snap)
+        out = tmp_path / "out"
+        rc = main(["track", "--map", line_map, "--trace", str(trace), "--obstacles", str(obstacles),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: obstacle[1]: obstacle kind must be one of "
+                                           "('stationary', 'moving'), got 'bogus'\n")
+        assert decoded == [] and not out.exists()
 
     @pytest.mark.parametrize("argv", [["analyze"], ["transient", "--rate", "1", "--time", "1"]],
                              ids=["analyze", "transient"])

@@ -6,13 +6,17 @@ import http.client
 import itertools
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import tracemalloc
 import urllib.request
 import warnings
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,6 +623,15 @@ class TestDispatch:
     def test_no_sinks_no_events(self):
         report = dispatch([], [])
         assert report.sinks == ()
+
+    def test_cli_import_leaves_the_http_stack_unloaded(self):
+        # only a WebhookSink delivery pays for ssl, email and http.client
+        probe = ("import sys, walkchain.cli; walkchain.cli.build_parser(); "
+                 "print([m for m in ('http.client', 'ssl', 'urllib.request') if m in sys.modules])")
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestSerialization:
