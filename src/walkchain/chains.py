@@ -20,8 +20,6 @@ ROW_SUM_TOL = 1e-12
 MIXING_TIME_CAP = 10_000
 #: ``mixing_time`` holds P**(2**j) for each j divisible by this and rebuilds the levels between
 MIXING_LEVEL_STRIDE = 2
-#: bytes of each row block of |P**t - pi| that ``mixing_time`` sums at once
-_MIXING_BLOCK_BYTES = 1 << 20
 #: largest relative gap allowed between the all-pairs and the direct hitting-time solve
 HITTING_CHECK_RTOL = 1e-9
 #: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``mixing_rate`` takes P as reversible
@@ -360,14 +358,8 @@ def stationary_distribution(P: StochasticMatrix,
     return Distribution(pi / pi.sum())
 
 
-def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None,
-                period: int | None = None) -> float:
+def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) -> float:
     """Second-largest eigenvalue modulus; the asymptotic per-step contraction.
-
-    A caller that knows P is irreducible with period d passes it as
-    ``period``: when d > 1 every d-th root of unity is an eigenvalue
-    (Perron-Frobenius; Seneta, *Non-negative Matrices and Markov Chains*,
-    ch. 1), so the answer is exactly 1.0 and no spectrum is computed.
 
     Given a stationary law pi with every entry positive, S = D_pi^1/2 P
     D_pi^-1/2 is similar to P, and symmetric exactly when P is reversible
@@ -380,8 +372,6 @@ def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None,
     """
     if P.n == 1:
         return 0.0
-    if period is not None and period > 1:
-        return 1.0
     S = None if stationary is None else _symmetrized(P, stationary)
     eigenvalues = np.linalg.eigvals(P.entries) if S is None else np.linalg.eigvalsh(S)
     mods = np.sort(np.abs(eigenvalues))[::-1]
@@ -439,15 +429,11 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
     if cap < 1 or (period > 1 and eps < 0.5):
         return None
     pi = stationary.probs[None, :]
-    rows = max(1, _MIXING_BLOCK_BYTES // (8 * P.n))
 
     def above(M: np.ndarray) -> bool:
-        for lo in range(0, P.n, rows):
-            D = M[lo:lo + rows] - pi
-            np.abs(D, out=D)
-            if 0.5 * D.sum(axis=1).max() > eps:
-                return True
-        return False
+        D = M - pi
+        np.abs(D, out=D)
+        return 0.5 * D.sum(axis=1).max() > eps
 
     held = {}  # level j -> P**(2**j), for the j < k divisible by the stride
     s, M = 1, P.entries  # invariant: M = P**s and d(s) > eps
@@ -489,7 +475,9 @@ def analyze(P: StochasticMatrix) -> ChainAnalysis:
     stationary = rate = t_mix = None
     if irreducible:
         stationary = stationary_distribution(P, classes)
-        rate = mixing_rate(P, stationary=stationary, period=periods[0])
+        # a period d > 1 puts every d-th root of unity in the spectrum (Perron-Frobenius;
+        # Seneta, *Non-negative Matrices and Markov Chains*, ch. 1), so no spectrum is needed
+        rate = 1.0 if periods[0] > 1 else mixing_rate(P, stationary=stationary)
         t_mix = mixing_time(P, stationary=stationary, period=periods[0])
     return ChainAnalysis(
         classes=tuple(tuple(c) for c in classes),
