@@ -113,7 +113,8 @@ class StochasticMatrix:
         sums = np.bincount(rows, weights=data, minlength=n)
         bad = np.flatnonzero(np.abs(sums - 1.0) > row_sum_tol)
         if bad.size:
-            raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, outside 1 +/- {row_sum_tol}")
+            raise ValueError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}, "
+                             f"outside 1 +/- {row_sum_tol}")
         keep = (data != 0) | np.signbit(data)
         if not keep.all():
             indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))

@@ -191,6 +191,8 @@ def _walk_trace(args: argparse.Namespace, g: mapgraph.PathGraph, P: chains.Stoch
         raise ValueError(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma!r}")
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    if args.seed < 0:  # numpy's own error names no flag
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     try:
         if args.steps >= sys.maxsize // 8:  # steps + 1 int64s past numpy's byte limit
             raise MemoryError
@@ -353,13 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common],
                        help="structural chain analysis of a map's random walk")
     p.add_argument("--map", required=True, help="path to a JSON map document")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("table", parents=[common],
                        help="normal-vs-blind walking time table and plot")
     p.add_argument("--distances", required=True, help="file with one distance (m) per line")
     _add_mode(p)
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("transient", parents=[common],
                        help="continuous-time transient law of the walk chain")
@@ -368,12 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, required=True, help="elapsed time t (s)")
     p.add_argument("--tolerance", type=float, default=ctmc.DEFAULT_TAIL_TOL,
                    help="Poisson tail mass left out of the series")
-    p.set_defaults(func=cmd_transient)
 
     # each declares its own --profile: parents share Action objects, and so their defaults
     p = sub.add_parser("simulate", parents=[walk], help="simulate a walk trace")
     p.add_argument("--profile", default="normal", help="built-in profile name")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", parents=[walk],
                        help="full pipeline: decode a trace, scan obstacles, send alerts")
@@ -385,23 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alerting radius around the walker (m)")
     p.add_argument("--obstacles", default=None, help="JSON obstacle file")
     p.add_argument("--webhook", default=None, help="optional alert webhook URL")
-    p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("report", parents=[common],
                        help="regenerate survey table and distance/time figures")
     p.add_argument("--distances", default=None,
                    help="file with one distance (m) per line (default: built-in survey)")
     _add_mode(p)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+#: the parser ``main`` reuses: built on its first call, not at import
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

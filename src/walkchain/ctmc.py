@@ -28,7 +28,11 @@ POWER_STACK_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """CTMC generator: non-negative off-diagonals, rows summing to zero."""
+    """CTMC generator: non-negative off-diagonals, rows summing to zero.
+
+    A row sum may be off by 1e-12 times the row's largest |entry| (at least
+    1e-12): rounding in the sum scales with the rates.
+    """
 
     entries: np.ndarray
 
@@ -46,9 +50,9 @@ class GeneratorMatrix:
             i, j = np.argwhere(off < 0)[0]
             raise ValueError(f"negative off-diagonal rate at ({i}, {j}): {arr[i, j]!r}")
         sums = arr.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums) > 1e-12)
+        bad = np.flatnonzero(np.abs(sums) > 1e-12 * np.maximum(1.0, np.abs(arr).max(axis=1)))
         if bad.size:
-            raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 0")
+            raise ValueError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}, expected 0")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

@@ -448,19 +448,36 @@ def format_alert_line(ev: AlertEvent) -> str:
 
 
 class FileSink:
-    """Append-only alert log: UTF-8, LF line endings, one TSV line per event."""
+    """Append-only alert log: UTF-8, LF line endings, one TSV line per event.
+
+    The file is opened by the first ``deliver`` and held until ``close``, which
+    ``dispatch`` calls before it returns: one open per dispatch, not per event.
+    Each line is flushed before ``deliver`` reports it delivered.
+    """
 
     def __init__(self, path):
         self.path = path
         self.name = f"file:{path}"
+        self._fh: TextIO | None = None
 
     def deliver(self, ev: AlertEvent) -> bool:
         try:
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(format_alert_line(ev) + "\n")
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8", newline="\n")
+            self._fh.write(format_alert_line(ev) + "\n")
+            self._fh.flush()
             return True
         except OSError:
+            self.close()  # the next event opens the file afresh
             return False
+
+    def close(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError:  # a line that failed to flush: already reported as failed
+                pass
 
 
 class WebhookSink:
@@ -512,12 +529,18 @@ def dispatch(events: Sequence[AlertEvent], sinks: Sequence) -> DeliveryReport:
 
     Duplicate events (same time, kind, distance and message) collapse to a
     single delivery. Sink failures are recorded, never raised, so one dead
-    sink cannot block the others.
+    sink cannot block the others. A sink with a ``close`` method is closed
+    once its events are delivered.
     """
     unique = list(dict.fromkeys(events))  # AlertEvent hashes and compares by all four fields
     reports = []
     for sink in sinks:
-        flags = tuple(bool(sink.deliver(ev)) for ev in unique)
+        try:
+            flags = tuple(bool(sink.deliver(ev)) for ev in unique)
+        finally:
+            close = getattr(sink, "close", None)
+            if close is not None:
+                close()
         reports.append(SinkReport(
             sink=sink.name,
             delivered=sum(flags),

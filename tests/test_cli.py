@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walkchain import pipeline
+from walkchain import cli, ctmc, pipeline
 from walkchain import (
     BLIND,
     StochasticMatrix,
@@ -195,6 +198,15 @@ class TestTransient:
         assert rc == 0
         sums = array_from_csv((out / "transient.csv").read_text()).sum(axis=1)
         assert np.all(sums >= 1.0 - 1e-13) and np.all(sums <= 1.0)
+
+    def test_high_rate_generator_passes_its_row_sum_check(self, tmp_path):
+        # rate * time = 1000 through rate 1e6: row sums round at ~1e-10 absolute
+        out = tmp_path / "out"
+        rc = main(["transient", "--map", DEMO_MAP, "--rate", "1e6", "--time", "0.001",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        sums = array_from_csv((out / "transient.csv").read_text()).sum(axis=1)
+        assert np.all(sums >= 1.0 - ctmc.DEFAULT_TAIL_TOL) and np.all(sums <= 1.0)
 
     def test_window_too_wide_names_tolerance(self, tmp_path, line_map, capsys):
         rc = main(["transient", "--map", line_map, "--rate", "1", "--time", "1e12",
@@ -436,6 +448,65 @@ class TestErrors:
         assert run("simulate") != run("simulate", "--profile", "blind")
         assert run("track") == run("track", "--profile", "blind")
         assert run("track") != run("track", "--profile", "normal")
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once per process; every call must act as a fresh one."""
+
+    @staticmethod
+    def _artifacts(root: Path) -> dict[str, bytes]:
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("job*/*"))}
+
+    def test_two_rounds_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch,
+                                                             distances_file):
+        jobs = [  # each walk command with and without --profile: their defaults differ
+            ["analyze", "--map", DEMO_MAP],
+            ["simulate", "--map", DEMO_MAP, "--steps", "30", "--profile", "blind"],
+            ["track", "--map", DEMO_MAP, "--steps", "30", "--obstacles", DEMO_OBSTACLES],
+            ["table", "--distances", distances_file],
+            ["transient", "--map", DEMO_MAP, "--rate", "2", "--time", "3"],
+            ["simulate", "--map", DEMO_MAP, "--steps", "30"],
+            ["track", "--map", DEMO_MAP, "--steps", "30", "--obstacles", DEMO_OBSTACLES,
+             "--profile", "normal"],
+            ["report"],
+        ]
+        # relative --out-dirs: delivery.json names the alert log by the path given
+        argvs = [[*job, "--out-dir", f"job{k}"] for k, job in enumerate(jobs)]
+        rounds = []
+        for order in (argvs, argvs[::-1]):
+            root = tmp_path / f"round{len(rounds)}"
+            root.mkdir()
+            monkeypatch.chdir(root)
+            for argv in order:
+                assert main(argv) == 0
+            rounds.append(self._artifacts(root))
+
+        root = tmp_path / "fresh"
+        root.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        for argv in argvs:
+            subprocess.run([sys.executable, "-m", "walkchain.cli", *argv], cwd=root, env=env,
+                           check=True, capture_output=True, timeout=120)
+        fresh = self._artifacts(root)
+
+        assert len({path.split("/")[0] for path in fresh}) == len(jobs)
+        assert rounds[0] == rounds[1] == fresh
+
+    def test_unknown_flag_exits_2_on_first_and_later_calls(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_parser", None)  # as in a new process
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--map", DEMO_MAP, "--no-such-flag"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+    def test_import_builds_no_parser(self):
+        probe = "import walkchain.cli; print(walkchain.cli._parser)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+                              check=True)
+        assert done.stdout == "None\n"
 
 
 class TestInputContract:
@@ -696,6 +767,19 @@ class TestInputContract:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_negative_seed_names_the_flag(self, tmp_path, line_map, capsys, command):
+        rc = main([command, "--map", line_map, "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_unread_with_a_trace_file(self, tmp_path, line_map):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t_s,x_m,y_m\n0.0,0.0,0.0\n1.0,5.8,0.0\n", encoding="utf-8")
+        assert main(["track", "--map", line_map, "--trace", str(trace), "--seed", "-1",
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_negative_steps_name_the_flag(self, tmp_path, line_map, capsys):
         rc = main(["simulate", "--map", line_map, "--steps", "-1",

@@ -42,6 +42,24 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError, match="row 0"):
             GeneratorMatrix(np.array([[-1.0, 1.5], [2.0, -2.0]]))
 
+    def test_row_sum_messages_print_plain_floats(self):
+        with pytest.raises(ValueError, match=r"^row 0 sums to 0\.5, expected 0$"):
+            GeneratorMatrix(np.array([[-1.0, 1.5], [2.0, -2.0]]))
+        with pytest.raises(ValueError, match=r"^row 0 sums to 0\.9, outside 1 \+/- 1e-12$"):
+            StochasticMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_row_sum_bound_scales_with_the_largest_rate(self):
+        # one rounding of 1e6 is ~1e-10: passes at rate 1e6, while rates <= 1 keep 1e-12
+        GeneratorMatrix(np.array([[-1e6, 1e6 + 1e-10], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="row 0"):
+            GeneratorMatrix(np.array([[-1e6, 1e6 + 1e-5], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="row 0"):
+            GeneratorMatrix(np.array([[-0.5, 0.5 + 1e-11], [0.0, 0.0]]))
+
+    @given(stochastic_matrices(), st.floats(1e3, 1e9))
+    def test_generator_of_any_rate_passes_its_own_check(self, P, rate):
+        generator(UniformizedChain(P, rate))  # GeneratorMatrix checks the row sums
+
     def test_from_chain_has_exact_zero_row_sums(self):
         chain = UniformizedChain(FLIP, rate=3.0)
         Q = generator(chain)

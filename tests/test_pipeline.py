@@ -634,6 +634,65 @@ class TestDispatch:
         assert done.stdout == "[]\n"
 
 
+class TestFileSinkHandle:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every handle ``FileSink`` opens, in order."""
+        handles = []
+
+        def counting_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+        return handles
+
+    def test_one_open_per_dispatch(self, tmp_path, opened):
+        log = tmp_path / "alerts.log"
+        sink = FileSink(log)
+        events = [_event(t=float(k)) for k in range(5)]
+        assert dispatch(events, [sink]).sinks[0].delivered == 5
+        assert len(opened) == 1 and opened[0].closed
+        assert dispatch(events, [sink]).sinks[0].delivered == 5  # the same sink appends again
+        assert len(opened) == 2 and opened[1].closed
+        assert log.read_text().splitlines() == [format_alert_line(ev) for ev in events] * 2
+
+    def test_each_line_on_disk_when_delivered(self, tmp_path, opened):
+        log = tmp_path / "alerts.log"
+        sink = FileSink(log)
+        lines = []
+        for k in range(3):
+            ev = _event(t=float(k))
+            assert sink.deliver(ev)
+            lines.append(format_alert_line(ev))
+            assert log.read_text() == "".join(line + "\n" for line in lines)
+        assert len(opened) == 1 and not opened[0].closed
+        sink.close()
+        assert opened[0].closed
+        sink.close()  # a second close is a no-op
+
+    def test_dead_sink_fails_every_event(self, tmp_path):
+        dead = FileSink(tmp_path / "missing_dir" / "alerts.log")
+        report = dispatch([_event(t=float(k)) for k in range(3)], [dead])
+        assert (report.sinks[0].delivered, report.sinks[0].failed) == (0, 3)
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+    def test_failed_flush_fails_the_event_and_drops_the_handle(self, opened):
+        report = dispatch([_event(t=1.0), _event(t=2.0)], [FileSink("/dev/full")])
+        assert (report.sinks[0].delivered, report.sinks[0].failed) == (0, 2)
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+    def test_handle_closed_when_delivery_raises(self, tmp_path, opened, monkeypatch):
+        def format_once(ev):
+            monkeypatch.setattr(pipeline, "format_alert_line", None)  # the next call raises
+            return format_alert_line(ev)
+
+        monkeypatch.setattr(pipeline, "format_alert_line", format_once)
+        with pytest.raises(TypeError):
+            dispatch([_event(t=1.0), _event(t=2.0)], [FileSink(tmp_path / "alerts.log")])
+        assert len(opened) == 1 and opened[0].closed
+
+
 class TestSerialization:
     def test_trace_roundtrip_with_truth(self):
         g = grid_graph(3, 3, 1.0)
