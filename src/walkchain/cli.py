@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 from typing import Iterator, TextIO
 
+import numpy as np
+
 from . import chains, ctmc, mapgraph, pipeline, profiles, svgplot
 
 
@@ -114,8 +116,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(path: str | None, mode: str) -> tuple[list[profiles.ComparisonRow], list[int]]:
-    """Comparison rows of a distances file and the file line of each row.
+def _table_rows(path: str | None, mode: str) -> tuple[profiles.ComparisonTable, list[int]]:
+    """Comparison table of a distances file and the file line of each row.
 
     Without a file: the built-in survey, with no lines. An error names the file
     line: a token that is not a number, or a distance that is negative, not
@@ -136,21 +138,16 @@ def _table_rows(path: str | None, mode: str) -> tuple[list[profiles.ComparisonRo
         raise ValueError("distances file contains no values")
     try:
         return profiles.comparison_table(values, mode=mode), lines
-    except ValueError:
-        for k, d in zip(lines, values):  # find the line at fault
-            try:
-                profiles.comparison_table([d], mode=mode)
-            except ValueError as exc:
-                raise ValueError(f"distances file line {k}: {exc}") from None
-        raise
+    except profiles.DistanceError as exc:
+        raise ValueError(f"distances file line {lines[exc.row]}: {exc}") from None
 
 
-def _table_svg(rows: list[profiles.ComparisonRow]) -> str:
-    ordered = sorted(rows, key=lambda r: r.distance)
-    xs = [r.distance for r in ordered]
+def _table_svg(rows: profiles.ComparisonTable) -> str:
+    order = np.argsort(rows.distance, kind="stable")
+    xs = rows.distance[order]
     return svgplot.line_plot(
-        [("normal", xs, [r.normal_time for r in ordered]),
-         ("blind", xs, [r.blind_time for r in ordered])],
+        [("normal", xs, rows.normal_time[order]),
+         ("blind", xs, rows.blind_time[order])],
         title="Walking time by segment length",
         xlabel="distance (m)",
         ylabel="time (s)",
@@ -159,9 +156,10 @@ def _table_svg(rows: list[profiles.ComparisonRow]) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rows, _ = _table_rows(args.distances, args.mode)
+    csv, svg = profiles.table_to_csv(rows), _table_svg(rows)  # both before writing, as in report
     out = Path(args.out_dir)
-    _write(out / "walking_table.csv", profiles.table_to_csv(rows))
-    _write(out / "walking_table.svg", _table_svg(rows))
+    _write(out / "walking_table.csv", csv)
+    _write(out / "walking_table.svg", svg)
     return 0
 
 
@@ -302,31 +300,33 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows, lines = _table_rows(args.distances, args.mode)
-    cum_d, cum_n, cum_b = [0.0], [0.0], [0.0]
-    for r in rows:
-        cum_d.append(cum_d[-1] + r.distance)
-        cum_n.append(cum_n[-1] + r.normal_time)
-        cum_b.append(cum_b[-1] + r.blind_time)
+    totals = np.zeros((3, len(rows) + 1))  # running sums from 0.0, added in row order
+    totals[0, 1:], totals[1, 1:], totals[2, 1:] = rows.distance, rows.normal_time, rows.blind_time
+    with np.errstate(over="ignore"):  # an overflow is the inf tested below
+        cum_d, cum_n, cum_b = np.cumsum(totals, axis=1)
     if math.isinf(cum_b[-1]):  # the largest column: blind >= normal, and >= distance at 4.66 s/m
-        raise ValueError(f"distances file line {lines[cum_b.index(math.inf) - 1]}: "
+        raise ValueError(f"distances file line {lines[int(np.argmax(np.isinf(cum_b))) - 1]}: "
                          "running blind time total overflows")
-    out = Path(args.out_dir)
-    _write(out / "walking_table.csv", profiles.table_to_csv(rows))
-
-    idx = list(range(1, len(rows) + 1))
-    _write(out / "segment_distances.svg", svgplot.line_plot(
-        [("segment length", idx, [r.distance for r in rows])],
-        title="Surveyed segment lengths",
-        xlabel="segment",
-        ylabel="distance (m)",
-    ))
-    _write(out / "travel_times.svg", _table_svg(rows))
-    _write(out / "walk_progress.svg", svgplot.line_plot(
-        [("normal", cum_n, cum_d), ("blind", cum_b, cum_d)],
-        title="Cumulative progress along the full route",
-        xlabel="time (s)",
-        ylabel="distance covered (m)",
-    ))
+    # every artifact is made before the first is written, so the numpy work runs in one
+    # stretch: file writes between its calls leave each one to start cold
+    texts = {
+        "walking_table.csv": profiles.table_to_csv(rows),
+        "segment_distances.svg": svgplot.line_plot(
+            [("segment length", np.arange(1.0, len(rows) + 1), rows.distance)],
+            title="Surveyed segment lengths",
+            xlabel="segment",
+            ylabel="distance (m)",
+        ),
+        "travel_times.svg": _table_svg(rows),
+        "walk_progress.svg": svgplot.line_plot(
+            [("normal", cum_n, cum_d), ("blind", cum_b, cum_d)],
+            title="Cumulative progress along the full route",
+            xlabel="time (s)",
+            ylabel="distance covered (m)",
+        ),
+    }
+    for name, text in texts.items():
+        _write(Path(args.out_dir) / name, text)
     return 0
 
 

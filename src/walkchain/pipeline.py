@@ -163,6 +163,11 @@ class AlertEvent:
             raise ValueError(f"alert distance must be finite and >= 0, got {self.distance!r}")
         if "\t" in self.message or "\n" in self.message:
             raise ValueError("alert message must not contain tabs or newlines")
+        try:  # every sink writes it as UTF-8
+            self.message.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"alert message {self.message!r} is not encodable as UTF-8 "
+                             f"({exc.reason} at index {exc.start})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +472,7 @@ class FileSink:
             self._fh.write(format_alert_line(ev) + "\n")
             self._fh.flush()
             return True
-        except OSError:
+        except (OSError, UnicodeEncodeError):  # an event built past AlertEvent's checks
             self.close()  # the next event opens the file afresh
             return False
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .mapgraph import _document, _get_number
 
@@ -85,6 +88,13 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _times(profile: WalkingProfile, distance, mode: str):
+    """``distance`` (a float or a float64 array) walked at the profile's pace in ``mode``."""
+    if mode == MODE_PAPER_ROUNDED and profile.rounded_pace is not None:
+        return profile.rounded_pace * distance
+    return distance / profile.speed
+
+
 def travel_time(profile: WalkingProfile, distance: float, mode: str = MODE_EXACT) -> float:
     """Seconds to walk ``distance`` meters at the profile's pace.
 
@@ -95,10 +105,7 @@ def travel_time(profile: WalkingProfile, distance: float, mode: str = MODE_EXACT
     _check_mode(mode)
     if not (math.isfinite(distance) and distance >= 0):
         raise ValueError(f"distance must be finite and >= 0, got {distance!r}")
-    if mode == MODE_PAPER_ROUNDED and profile.rounded_pace is not None:
-        time = profile.rounded_pace * distance
-    else:
-        time = distance / profile.speed
+    time = _times(profile, distance, mode)
     if math.isinf(time):
         raise ValueError(f"travel time over {distance!r} m overflows")
     return time
@@ -134,23 +141,85 @@ class ComparisonRow:
             )
 
 
-def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> list[ComparisonRow]:
-    """Normal-vs-blind walking times over the given segment lengths."""
+class DistanceError(ValueError):
+    """A distance that :func:`comparison_table` rejects, with its index in the input as ``row``."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
+class ComparisonTable(Sequence[ComparisonRow]):
+    """Normal-vs-blind walking times as three read-only float64 columns.
+
+    Built by :func:`comparison_table`. Indexing and iterating give
+    :class:`ComparisonRow` values, so the table reads like a list of rows.
+    """
+
+    distance: np.ndarray
+    normal_time: np.ndarray
+    blind_time: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.distance)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        return ComparisonRow(float(self.distance[k]), float(self.normal_time[k]),
+                             float(self.blind_time[k]))
+
+    def __iter__(self) -> Iterator[ComparisonRow]:
+        return map(ComparisonRow, self.distance.tolist(), self.normal_time.tolist(),
+                   self.blind_time.tolist())
+
+
+def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> ComparisonTable:
+    """Normal-vs-blind walking times over the given segment lengths.
+
+    Each time is the one :func:`travel_time` gives, bit for bit. A distance
+    that :func:`travel_time` or :class:`ComparisonRow` would reject raises
+    their message as a :class:`DistanceError` naming the first such row.
+    """
     _check_mode(mode)
     normal, blind = builtin_profiles()
-    return [
-        ComparisonRow(
-            distance=float(d),
-            normal_time=travel_time(normal, float(d), mode),
-            blind_time=travel_time(blind, float(d), mode),
-        )
-        for d in distances
-    ]
+    d = np.array(distances, dtype=np.float64)
+    if d.ndim != 1:
+        raise ValueError(f"distances must be a flat sequence of numbers, got shape {d.shape}")
+    if d.size:
+        # a time grows with its distance, so none overflows (or warns) unless the largest
+        # distance's does; a nan fails the first test
+        hi = float(d.max())
+        if not (d.min() >= 0 and math.isfinite(_times(normal, hi, mode))
+                and math.isfinite(_times(blind, hi, mode))):
+            _raise_first_bad_row(d, mode)
+    normal_t, blind_t = _times(normal, d, mode), _times(blind, d, mode)
+    if not (blind_t >= normal_t).all():
+        _raise_first_bad_row(d, mode)
+    for column in (d, normal_t, blind_t):
+        column.flags.writeable = False
+    return ComparisonTable(d, normal_t, blind_t)
+
+
+def _raise_first_bad_row(d: np.ndarray, mode: str) -> None:
+    """Raise, as a DistanceError, what the row-by-row checks raise for the first row they reject."""
+    normal, blind = builtin_profiles()
+    for k, v in enumerate(d.tolist()):
+        try:
+            ComparisonRow(v, travel_time(normal, v, mode), travel_time(blind, v, mode))
+        except ValueError as exc:
+            raise DistanceError(k, str(exc)) from None
 
 
 def table_to_csv(rows: Sequence[ComparisonRow]) -> str:
+    """The table as CSV, each value written as its ``repr``."""
+    if isinstance(rows, ComparisonTable):
+        cells = zip(rows.distance.tolist(), rows.normal_time.tolist(), rows.blind_time.tolist())
+    else:
+        cells = map(attrgetter("distance", "normal_time", "blind_time"), rows)
     lines = ["distance_m,normal_time_s,blind_time_s"]
-    lines += [f"{r.distance!r},{r.normal_time!r},{r.blind_time!r}" for r in rows]
+    lines += [f"{d!r},{n!r},{b!r}" for d, n, b in cells]
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import threading
 import tracemalloc
 import urllib.request
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -131,6 +133,10 @@ class TestDataTypes:
             AlertEvent(t=0.0, kind="obstacle_warning", distance=1.0, message="a\tb")
         with pytest.raises(ValueError):
             AlertEvent(t=0.0, kind="obstacle_warning", distance=-1.0, message="m")
+
+    def test_alert_message_must_encode_as_utf8(self):
+        with pytest.raises(ValueError, match=re.escape("alert message '\\ud800' is not encodable")):
+            AlertEvent(t=0.0, kind="obstacle_warning", distance=1.0, message="\ud800")
 
 
 class TestSimulateWalk:
@@ -529,6 +535,10 @@ def _event(t=1.5, dist=2.5, msg="stationary obstacle 1 at 2.50 m; 4.31 s away at
     return AlertEvent(t=t, kind="obstacle_warning", distance=dist, message=msg)
 
 
+#: an alert with AlertEvent's fields and none of its checks
+_RawEvent = namedtuple("_RawEvent", "t kind distance message")
+
+
 class _RecordingHandler(BaseHTTPRequestHandler):
     received: list = []
 
@@ -670,6 +680,17 @@ class TestFileSinkHandle:
         sink.close()
         assert opened[0].closed
         sink.close()  # a second close is a no-op
+
+    def test_unencodable_event_is_a_failed_delivery(self, tmp_path):
+        # an event that bypassed AlertEvent's checks: a lone surrogate has no UTF-8 form
+        raw = _RawEvent(t=0.0, kind="obstacle_warning", distance=1.0, message="\ud800")
+        good = _event()
+        first, second = FileSink(tmp_path / "a.log"), FileSink(tmp_path / "b.log")
+        by = dispatch([raw, good], [first, second]).by_sink()
+        for sink in (first, second):
+            assert (by[sink.name].delivered, by[sink.name].failed) == (1, 1)
+            assert by[sink.name].flags == (False, True)
+            assert sink.path.read_text(encoding="utf-8") == format_alert_line(good) + "\n"
 
     def test_dead_sink_fails_every_event(self, tmp_path):
         dead = FileSink(tmp_path / "missing_dir" / "alerts.log")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from walkchain import (
     NORMAL,
     SURVEY_DISTANCES_M,
     ComparisonRow,
+    ComparisonTable,
+    DistanceError,
     WalkingProfile,
     comparison_table,
     distance_of_steps,
@@ -137,6 +140,52 @@ class TestComparisonTable:
         assert float(d) == 5.8
         assert float(nt) == pytest.approx(10.0)
         assert float(bt) == pytest.approx(27.0)
+
+
+class TestColumnarTable:
+    def test_columns_and_rows(self):
+        rows = comparison_table([5.8, 0.0, 11.6])
+        assert isinstance(rows, ComparisonTable) and len(rows) == 3
+        assert rows.distance.dtype == np.float64 and rows.distance.tolist() == [5.8, 0.0, 11.6]
+        assert rows[0] == ComparisonRow(5.8, travel_time(NORMAL, 5.8), travel_time(BLIND, 5.8))
+        assert rows[-1].distance == 11.6
+        assert list(rows) == [rows[k] for k in range(3)] == rows[:]
+        assert rows.blind_time.tolist() == [r.blind_time for r in rows]
+
+    def test_columns_are_read_only(self):
+        rows = comparison_table([1.0, 2.0])
+        for column in (rows.distance, rows.normal_time, rows.blind_time):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+
+    def test_input_is_copied(self):
+        d = np.array([1.0, 2.0])
+        rows = comparison_table(d)
+        d[0] = 50.0
+        assert rows.distance.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_PAPER_ROUNDED])
+    def test_times_are_travel_times(self, mode):
+        rows = comparison_table(SURVEY_DISTANCES_M, mode)
+        assert rows.normal_time.tolist() == [travel_time(NORMAL, d, mode) for d in SURVEY_DISTANCES_M]
+        assert rows.blind_time.tolist() == [travel_time(BLIND, d, mode) for d in SURVEY_DISTANCES_M]
+
+    @pytest.mark.parametrize("values, row, message", [
+        ([1.0, -2.0, float("nan")], 1, "distance must be finite and >= 0, got -2.0"),
+        ([1.0, 2.0, float("nan")], 2, "distance must be finite and >= 0, got nan"),
+        ([float("inf")], 0, "distance must be finite and >= 0, got inf"),
+        ([0.0, 1e308, -1.0], 1, "travel time over 1e+308 m overflows"),
+    ])
+    def test_first_bad_row_named(self, values, row, message):
+        with pytest.raises(DistanceError, match=re.escape(message)) as caught:
+            comparison_table(values)
+        assert caught.value.row == row
+
+    def test_csv_of_rows_or_table(self):
+        rows = comparison_table([5.8, 0.1, -0.0])
+        assert table_to_csv(rows) == table_to_csv(list(rows))
+        assert table_to_csv(rows).splitlines()[3] == "-0.0,-0.0,-0.0"
+        assert table_to_csv([ComparisonRow(5, 10, 27)]).splitlines()[1] == "5,10,27"
 
 
 class TestLoadProfile:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 
 from walkchain import line_plot
@@ -61,3 +63,33 @@ def test_empty_input_rejected():
         line_plot([("a", [], [])])
     with pytest.raises(ValueError):
         line_plot([("a", [1.0], [1.0, 2.0])])
+
+
+def test_text_is_escaped():
+    svg = line_plot([("a<b & c", [0, 1], [0, 1])], title="x & y", xlabel="<m>", ylabel="t > 0")
+    root = ET.fromstring(svg)
+    texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert {"a<b & c", "x & y", "<m>", "t > 0"} <= set(texts)
+    assert "a&lt;b &amp; c" in svg and "t &gt; 0" in svg
+
+
+def test_escaping_matches_saxutils():
+    label = "&amp; <x> & > <"
+    assert f">{escape(label)}</text>" in line_plot([(label, [0], [0])])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_name_the_series(bad):
+    for xs, ys in (([0.0, bad], [0.0, 1.0]), ([0.0, 1.0], [bad, 1.0])):
+        with pytest.raises(ValueError, match="series 'second': values must be finite"):
+            line_plot([("first", [0.0, 1.0], [0.0, 1.0]), ("second", xs, ys)])
+
+
+def test_range_past_the_float_range_rejected():
+    with pytest.raises(ValueError, match="span more than the float range"):
+        line_plot([("wide", [-1e308, 1e308], [0.0, 1.0])])
+
+
+def test_arrays_plot_as_lists():
+    xs, ys = [0, 3, 1, 2], [0.5, -0.0, 2.25, 1e6]
+    assert line_plot([("s", np.array(xs), np.array(ys))]) == line_plot([("s", xs, ys)])
