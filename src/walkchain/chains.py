@@ -8,6 +8,7 @@ come from direct linear algebra, never from iteration to convergence.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -16,6 +17,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+#: total-variation level of ``mixing_time`` and of ``analyze``'s mixing time
+MIXING_EPS = 0.25
 #: steps after which mixing-time search gives up (periodic chains never mix)
 MIXING_TIME_CAP = 10_000
 #: ``mixing_time`` holds P**(2**j) for each j divisible by this and rebuilds the levels between
@@ -24,6 +27,14 @@ MIXING_LEVEL_STRIDE = 2
 HITTING_CHECK_RTOL = 1e-9
 #: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``mixing_rate`` takes P as reversible
 REVERSIBLE_TOL = 1e-10
+#: fewest states at which a reversible chain's rate and mixing time come from one ``eigh`` of S;
+#: below it ``eigvalsh`` and the search over powers of P take less time (crossover ~116 states
+#: on triangulated grids, one BLAS thread)
+SPECTRAL_MIN_N = 120
+#: |lambda|**t below this counts as 0 in the spectral search, so no product meets a subnormal
+SPECTRAL_FLUSH = 1e-18
+#: steps probed at once in each round that narrows the spectral search's bracket
+SPECTRAL_PROBES = 15
 
 
 class UnreachableStateError(ValueError):
@@ -365,22 +376,32 @@ def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) 
     Given a stationary law pi with every entry positive, S = D_pi^1/2 P
     D_pi^-1/2 is similar to P, and symmetric exactly when P is reversible
     (pi_i P_ij = pi_j P_ji), as every random walk on a map is. When
-    max |S - S^T| <= REVERSIBLE_TOL (1e-10) the spectrum comes from the
-    symmetric solver ``eigvalsh`` on S (Levin, Peres & Wilmer, *Markov Chains
-    and Mixing Times*, section 12.1); it then lies within about
-    n * REVERSIBLE_TOL of P's (Bauer-Fike). Otherwise, and without
-    ``stationary``, it comes from the general ``eigvals`` of P.
+    max |S - S^T| <= REVERSIBLE_TOL (1e-10) the spectrum comes from a
+    symmetric solver on S (Levin, Peres & Wilmer, *Markov Chains and Mixing
+    Times*, section 12.1); it then lies within about n * REVERSIBLE_TOL of P's
+    (Bauer-Fike). That solver is ``eigvalsh`` below SPECTRAL_MIN_N states and
+    ``eigh`` from there on, whose eigenvectors ``analyze`` reuses for the
+    mixing time. Otherwise, and without ``stationary``, the spectrum comes
+    from the general ``eigvals`` of P.
     """
+    return _rate(P, stationary, None if stationary is None else _spectrum(P, stationary))
+
+
+def _rate(P: StochasticMatrix, pi: Distribution | None, spectrum: _Spectrum | None) -> float:
+    """``mixing_rate`` from ``spectrum`` when there is one, else from its own eigenvalue solve."""
     if P.n == 1:
         return 0.0
-    S = None if stationary is None else _symmetrized(P, stationary)
-    eigenvalues = np.linalg.eigvals(P.entries) if S is None else np.linalg.eigvalsh(S)
-    mods = np.sort(np.abs(eigenvalues))[::-1]
-    return float(mods[1])
+    if spectrum is not None:
+        eigenvalues = spectrum.lam
+    else:
+        found = None if pi is None else _symmetrized(P, pi)
+        eigenvalues = np.linalg.eigvals(P.entries) if found is None else np.linalg.eigvalsh(found[0])
+    return float(np.sort(np.abs(eigenvalues))[-2])
 
 
-def _symmetrized(P: StochasticMatrix, pi: Distribution) -> np.ndarray | None:
-    """S = D_pi^1/2 P D_pi^-1/2 when pi > 0 and max |S - S^T| <= REVERSIBLE_TOL, else None."""
+def _symmetrized(P: StochasticMatrix, pi: Distribution) -> tuple[np.ndarray, float] | None:
+    """S = D_pi^1/2 P D_pi^-1/2 and the largest row sum of |S - S^T|, when pi > 0 and
+    max |S - S^T| <= REVERSIBLE_TOL; else None."""
     if pi.n != P.n:
         raise ValueError(f"distribution has {pi.n} states but matrix has {P.n}")
     root = np.sqrt(pi.probs)
@@ -389,7 +410,41 @@ def _symmetrized(P: StochasticMatrix, pi: Distribution) -> np.ndarray | None:
     S = P.entries * root[:, None]
     S /= root
     asym = S - S.T
-    return S if np.abs(asym, out=asym).max() <= REVERSIBLE_TOL else None
+    np.abs(asym, out=asym)
+    if asym.max() > REVERSIBLE_TOL:
+        return None
+    return S, float(asym.sum(axis=1).max())
+
+
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """``eigh`` of S = D_pi^1/2 P D_pi^-1/2: eigenvalues ``lam`` and orthonormal columns ``U``,
+    both ordered by |lambda| descending, with pi, its square root and ``asym``, the largest
+    row sum of |S - S^T| as measured.
+
+    Row i of P**t is ((U[i] * lam**t) @ U.T) * root / root[i] (Levin, Peres & Wilmer,
+    Lemma 12.2), so any rows of any power cost a row-by-matrix product.
+    """
+
+    lam: np.ndarray
+    U: np.ndarray
+    pi: np.ndarray
+    root: np.ndarray
+    asym: float
+
+
+def _spectrum(P: StochasticMatrix, pi: Distribution) -> _Spectrum | None:
+    """One ``eigh`` of S when P has at least SPECTRAL_MIN_N states and is reversible, else None."""
+    if P.n < SPECTRAL_MIN_N:
+        return None
+    found = _symmetrized(P, pi)
+    if found is None:
+        return None
+    lam, U = np.linalg.eigh(found[0])
+    asym = found[1]
+    del found  # frees S before U is copied in |lambda| order
+    order = np.argsort(-np.abs(lam), kind="stable")
+    return _Spectrum(lam[order], U[:, order], pi.probs, np.sqrt(pi.probs), asym)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -401,7 +456,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_CAP, *,
+def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS, cap: int = MIXING_TIME_CAP, *,
                 stationary: Distribution | None = None, period: int | None = None) -> int | None:
     """Smallest t in 1..cap with d(t) = max_i TV(row i of P**t, stationary) <= eps.
 
@@ -413,15 +468,34 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
     from one class computation. The periodic case returns at once: every row
     of P**t sits on one cyclic class, so d(t) >= 1 - 1/period >= 1/2.
 
-    Otherwise the search uses that d(t) never increases (Levin, Peres &
-    Wilmer, *Markov Chains and Mixing Times*, section 4.4). Squaring brackets
-    the answer in (s, 2s] with s = 2**k; binary lifting from P**s then adds
-    jumps s/2, s/4, ..., 1 while d stays above eps. The squaring keeps level
-    P**(2**j) for every j divisible by MIXING_LEVEL_STRIDE, and the lifting
-    rebuilds each other jump by squaring the held level below it, so every
-    jump is the same chain of squarings from P, bit for bit. That takes
-    2k + 1 + sum(j % MIXING_LEVEL_STRIDE for j < k) matrix products, and
-    about ceil(k / MIXING_LEVEL_STRIDE) + 3 n x n arrays besides P.
+    Every search uses that d(t) never increases, and neither does the TV
+    distance of any one row (Levin, Peres & Wilmer, *Markov Chains and Mixing
+    Times*, section 4.4).
+
+    A reversible chain (see ``mixing_rate``) with at least SPECTRAL_MIN_N
+    states is searched in the spectrum of S = D_pi^1/2 P D_pi^-1/2, from one
+    ``eigh``: row i of P**t is then one row-by-matrix product (Lemma 12.2),
+    with |lambda|**t below SPECTRAL_FLUSH taken as 0. The largest TV
+    distance L(t) over a few candidate rows, seeded where the slowest mode
+    is largest and smallest, is a lower bound on d(t) that never increases.
+    Its first t with L(t) <= eps is bracketed by probing t = 1, 2, 4, ...,
+    cap and narrowed by SPECTRAL_PROBES probes per round; then all n rows of
+    P**t are built once. If d(t) <= eps as well, t is the answer: every
+    earlier step has L > eps. Otherwise the worst row joins the candidates
+    and the search resumes after t. Each of those comparisons must clear eps
+    by a guard band, a bound on the rounding of both this search and the one
+    below (``_guard_band``); one that does not hands the chain to the search
+    below, so the answer is always the one that search gives.
+
+    Below SPECTRAL_MIN_N states, where that takes longer, and for a chain
+    that is not reversible, squaring brackets the answer in (s, 2s] with
+    s = 2**k; binary lifting from P**s then adds jumps s/2, s/4, ..., 1 while
+    d stays above eps. The squaring keeps level P**(2**j) for every j
+    divisible by MIXING_LEVEL_STRIDE, and the lifting rebuilds each other
+    jump by squaring the held level below it, so every jump is the same
+    chain of squarings from P, bit for bit. That takes 2k + 1 +
+    sum(j % MIXING_LEVEL_STRIDE for j < k) matrix products, and about
+    ceil(k / MIXING_LEVEL_STRIDE) + 3 n x n arrays besides P.
     """
     if stationary is None or period is None:
         classes, _, periods = _class_structure(P)
@@ -429,7 +503,127 @@ def mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = MIXING_TIME_C
         period = periods[0]
     if cap < 1 or (period > 1 and eps < 0.5):
         return None
-    pi = stationary.probs[None, :]
+    return _mixing_time(P, eps, cap, stationary, _spectrum(P, stationary))
+
+
+class _WithinBand(Exception):
+    """A decision of the spectral search came within its guard band of eps."""
+
+
+def _mixing_time(P: StochasticMatrix, eps: float, cap: int, stationary: Distribution,
+                 spectrum: _Spectrum | None) -> int | None:
+    """``mixing_time`` for cap >= 1: in ``spectrum`` when there is one and cap is an integer,
+    else over powers of P."""
+    if spectrum is not None and isinstance(cap, (int, np.integer)):
+        try:
+            return _spectral_search(spectrum, eps, int(cap))
+        except _WithinBand:
+            pass
+    return _level_search(P, eps, cap, stationary.probs[None, :])
+
+
+def _spectral_search(sp: _Spectrum, eps: float, cap: int) -> int | None:
+    """The first t <= cap with d(t) <= eps, from ``sp``; None when d(cap) > eps.
+
+    Raises _WithinBand when a decision is too close to eps to be certain.
+    """
+    rows = _seed_rows(sp)
+    lo, lo_d = 0, 1.0  # invariant: d(lo) > eps decided with lo_d, the L or d read there
+    while lo < cap:
+        steps = [lo + (1 << j) for j in range((cap - lo - 1).bit_length())] + [cap]
+        first, L = _first_at_most(sp, rows, steps, eps)
+        if first == len(steps):
+            _above(L[-1], eps, _guard_band(sp, cap))
+            return None
+        if first:
+            lo, lo_d = steps[first - 1], L[first - 1]
+        hi = steps[first]
+        while hi - lo > 1:
+            if hi - lo <= SPECTRAL_PROBES + 1:
+                probes = list(range(lo + 1, hi))
+            else:
+                probes = (lo + (hi - lo) * np.arange(1, SPECTRAL_PROBES + 1)
+                          // (SPECTRAL_PROBES + 1)).tolist()
+            first, L = _first_at_most(sp, rows, probes, eps)
+            if first:
+                lo, lo_d = probes[first - 1], L[first - 1]
+            if first < len(probes):
+                hi = probes[first]
+        if lo:
+            _above(lo_d, eps, _guard_band(sp, lo))
+        tv = _row_distances(sp, np.arange(sp.pi.size), [hi])[0]
+        worst = int(np.argmax(tv))
+        if not _above(tv[worst], eps, _guard_band(sp, hi)):
+            return hi
+        if worst not in rows:
+            rows.append(worst)
+        lo, lo_d = hi, tv[worst]
+    return None
+
+
+def _seed_rows(sp: _Spectrum) -> list[int]:
+    """The states where the slowest mode, as a right eigenvector of P, is largest and smallest."""
+    f = sp.U[:, 1] / sp.root
+    return sorted({int(np.argmax(f)), int(np.argmin(f))})
+
+
+def _first_at_most(sp: _Spectrum, rows, steps, eps: float) -> tuple[int, np.ndarray]:
+    """Index of the first of ``steps`` whose largest TV distance over ``rows`` is at most eps
+    (len(steps) when none is), and those largest distances."""
+    L = _row_distances(sp, rows, steps).max(axis=1)
+    at_most = np.flatnonzero(L <= eps)
+    return (int(at_most[0]) if at_most.size else len(steps)), L
+
+
+def _row_distances(sp: _Spectrum, rows, steps) -> np.ndarray:
+    """TV distance from pi of row i of P**t, for t in ``steps`` (axis 0) and i in ``rows``.
+
+    One product of the (len(steps) * len(rows), k) scaled eigenvector rows by the k kept
+    modes: those whose |lambda|**min(steps) is at least SPECTRAL_FLUSH.
+    """
+    t = np.asarray(steps)[:, None]
+    k = np.count_nonzero(np.abs(sp.lam) ** t.min() >= SPECTRAL_FLUSH)  # a prefix: |lam| descends
+    powers = sp.lam[:k] ** t
+    powers[np.abs(powers) < SPECTRAL_FLUSH] = 0.0
+    X = (powers[:, None, :] * sp.U[rows, :k]).reshape(-1, k) @ sp.U[:, :k].T  # rows of S**t
+    X *= sp.root
+    X /= np.tile(sp.root[rows], t.size)[:, None]
+    X -= sp.pi
+    np.abs(X, out=X)
+    return 0.5 * X.sum(axis=1).reshape(t.size, -1)
+
+
+def _above(d: float, eps: float, band: float) -> bool:
+    """d > eps, for a d within ``band`` of its exact value; raises _WithinBand when
+    |d - eps| <= band leaves the answer open."""
+    if not abs(d - eps) > band:  # a NaN eps is left undecided too
+        raise _WithinBand
+    return d > eps
+
+
+def _guard_band(sp: _Spectrum, t: int) -> float:
+    """Bound on the rounding of the spectral search's d or L at any step <= t, plus that of
+    the search over powers of P at any step <= 2t (the farthest it evaluates).
+
+    With u = 2**-53, g = n u / (1 - n u), s = 2t and r = min sqrt(pi): the decomposition is
+    exact for a symmetric matrix within e = asym + 4 n u of S in the 2-norm (the triangle
+    eigh ignores, whose 2-norm is at most the largest row sum of |S - S^T|; eigh's backward
+    error; forming S), so S**s moves by at most s e exp(s e) in the 2-norm. A row's TV
+    distance moves by 1 / (2 r) times that, plus the product's rounding (sqrt(n) + 4) g and
+    the flushed powers. Each entry of a product of powers of the non-negative P carries a
+    relative error of at most s g, which moves a row's TV distance by at most s g.
+    """
+    n = sp.pi.size
+    u = np.finfo(float).eps / 2
+    g = n * u / (1 - n * u)
+    s = 2 * t
+    e = sp.asym + 4 * n * u
+    return ((s * e * math.exp(s * e) + (math.sqrt(n) + 4) * g + SPECTRAL_FLUSH)
+            / (2 * float(sp.root.min())) + s * g)
+
+
+def _level_search(P: StochasticMatrix, eps: float, cap: int, pi: np.ndarray) -> int | None:
+    """``mixing_time`` for cap >= 1 by squaring and lifting over powers of P (pi as a row)."""
 
     def above(M: np.ndarray) -> bool:
         D = M - pi
@@ -476,10 +670,15 @@ def analyze(P: StochasticMatrix) -> ChainAnalysis:
     stationary = rate = t_mix = None
     if irreducible:
         stationary = stationary_distribution(P, classes)
-        # a period d > 1 puts every d-th root of unity in the spectrum (Perron-Frobenius;
-        # Seneta, *Non-negative Matrices and Markov Chains*, ch. 1), so no spectrum is needed
-        rate = 1.0 if periods[0] > 1 else mixing_rate(P, stationary=stationary)
-        t_mix = mixing_time(P, stationary=stationary, period=periods[0])
+        if periods[0] > 1:
+            # a period d > 1 puts every d-th root of unity in the spectrum (Perron-Frobenius;
+            # Seneta, *Non-negative Matrices and Markov Chains*, ch. 1), so no spectrum is
+            # needed, and d(t) >= 1/2 > MIXING_EPS for every t (see mixing_time)
+            rate, t_mix = 1.0, None
+        else:
+            spectrum = _spectrum(P, stationary)  # one eigh for the rate and the search
+            rate = _rate(P, stationary, spectrum)
+            t_mix = _mixing_time(P, MIXING_EPS, MIXING_TIME_CAP, stationary, spectrum)
     return ChainAnalysis(
         classes=tuple(tuple(c) for c in classes),
         closed=closed,

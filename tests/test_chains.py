@@ -961,3 +961,152 @@ class TestArrayCsvReference:
                 tracemalloc.stop()
             assert peak < 2.25 * len(text)
         assert text == _per_entry_array_to_csv(dense)
+
+
+@st.composite
+def _reversible_chains_above_the_size_rule(draw) -> StochasticMatrix:
+    """Walks with symmetric weights on connected graphs of SPECTRAL_MIN_N to SPECTRAL_MIN_N + 60
+    states: random sparse graphs, or a bipartite cycle or grid closed by one odd cycle (so that
+    the smallest eigenvalue is near -1); self-loops now and then, and a hold up to 0.99."""
+    n = draw(st.integers(chains.SPECTRAL_MIN_N, chains.SPECTRAL_MIN_N + 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sparse", "odd_cycle", "odd_grid"]))
+    W = np.zeros((n, n))
+    if kind == "sparse":  # a path as backbone and up to 3n random edges, self-loops among them
+        W[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 1.0, n - 1)
+        m = draw(st.integers(0, 3 * n))
+        np.add.at(W, (rng.integers(0, n, m), rng.integers(0, n, m)), rng.uniform(0.0, 5.0, m))
+    elif kind == "odd_cycle":  # an even cycle and one chord that closes a triangle
+        n -= n % 2
+        W = np.zeros((n, n))
+        W[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.5, 1.5, n)
+        W[0, 2] = 1.0
+    else:  # a grid of 12 rows and one diagonal
+        cols = n // 12
+        n = 12 * cols
+        W = np.zeros((n, n))
+        right = np.flatnonzero(np.arange(n) % cols < cols - 1)
+        W[right, right + 1] = rng.uniform(0.5, 1.5, right.size)
+        W[np.arange(n - cols), np.arange(cols, n)] = rng.uniform(0.5, 1.5, n - cols)
+        W[0, cols + 1] = 1.0
+    W = W + W.T
+    if draw(st.booleans()):
+        W[np.diag_indices(n)] += rng.uniform(0.0, draw(st.sampled_from([0.1, 1.0, 5.0])), n)
+    P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+    hold = draw(st.sampled_from([0.0, 0.3, 0.9, 0.99]))
+    return _lazy(P, hold) if hold else P
+
+
+def _without_spectrum(monkeypatch, *solvers):
+    for solver in solvers:
+        monkeypatch.delattr(np.linalg, solver)
+
+
+class TestSpectralMixing:
+    """The spectral search of a reversible chain against the search over powers of P."""
+
+    @given(P=_reversible_chains_above_the_size_rule(), eps=st.floats(0.01, 0.6))
+    @settings(max_examples=80)
+    def test_matches_the_parent_search(self, P, eps):
+        classes, _, periods = chains._class_structure(P)
+        assert len(classes) == 1
+        known = {"stationary": stationary_distribution(P, classes), "period": periods[0]}
+        assert chains._spectrum(P, known["stationary"]) is not None  # the spectral route
+        t_mix = _parent_mixing_time(P, eps, 10_000, **known)
+        caps = {1, 10_000} | ({t_mix - 1, t_mix, t_mix + 1} - {0} if t_mix else set())
+        for cap in sorted(caps):
+            assert mixing_time(P, eps, cap, **known) == _parent_mixing_time(P, eps, cap, **known)
+
+    def test_one_eigh_per_analyze_and_no_product_of_powers(self, monkeypatch):
+        P = _triangulated_grid(18, 18)
+        want = _parent_mixing_time(P)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
+                            or eigh(a, *args, **kw))
+        _without_spectrum(monkeypatch, "eigvalsh", "eigvals")
+        products = _count_products(monkeypatch)
+        a = analyze(P)
+        assert calls == [(P.n, P.n)] and products == []
+        assert a.mixing_time == want == 193
+
+    def test_rate_is_the_same_from_analyze_and_mixing_rate(self):
+        P = _triangulated_grid(18, 18)
+        a = analyze(P)
+        assert a.mixing_rate == mixing_rate(P, stationary=a.stationary)
+        S = chains._symmetrized(P, a.stationary)[0]
+        assert abs(a.mixing_rate - np.sort(np.abs(np.linalg.eigvalsh(S)))[-2]) <= 1e-14
+
+    def test_bipartite_grid_computes_no_spectrum(self, monkeypatch):
+        P = random_walk_matrix(grid_graph(20, 20))
+        _without_spectrum(monkeypatch, "eigh", "eigvalsh", "eigvals")
+        a = analyze(P)
+        assert P.n >= chains.SPECTRAL_MIN_N and a.periods == (2,)
+        assert a.mixing_rate == 1.0 and a.mixing_time is None
+
+    def test_a_decision_within_the_band_runs_the_parent_search(self, monkeypatch):
+        P = _triangulated_grid(12, 12)
+        a = analyze(P)
+        known = {"stationary": a.stationary, "period": 1}
+        monkeypatch.setattr(chains, "_guard_band", lambda sp, t: 1.0)
+        products = _count_products(monkeypatch)
+        t_mix = mixing_time(P, **known)
+        k = (t_mix - 1).bit_length() - 1
+        assert t_mix == a.mixing_time and len(products) == _level_bound(k)
+        assert products == [((P.n, P.n), (P.n, P.n))] * len(products)
+
+    def test_eps_within_rounding_of_d_gives_the_parent_answer(self):
+        # eps a few ulps from the spectral d(t): the two searches round d(t) differently,
+        # so only the guard band (which sends these to the parent search) keeps them equal
+        P = _triangulated_grid(12, 12)
+        a = analyze(P)
+        known = {"stationary": a.stationary, "period": 1}
+        sp = chains._spectrum(P, a.stationary)
+        for t in (20, 40, 60, 80, 81, 82, 120):
+            d = float(chains._row_distances(sp, np.arange(P.n), [t]).max())
+            for eps in (math.nextafter(d, 0), d, math.nextafter(d, 1), d - 1e-15, d + 1e-15):
+                assert mixing_time(P, eps, **known) == _parent_mixing_time(P, eps, **known)
+
+    def test_caps_and_eps_of_other_types_give_the_parent_answer(self):
+        P = _triangulated_grid(12, 12)
+        a = analyze(P)
+        known = {"stationary": a.stationary, "period": 1}
+        for eps, cap in ((0.25, np.int64(60)), (0.25, np.int64(500)), (0.25, 80.5), (0.1, math.inf),
+                         (math.nan, 500), (np.float64(0.25), 500)):
+            assert mixing_time(P, eps, cap, **known) == _parent_mixing_time(P, eps, cap, **known)
+
+    def test_a_failed_full_check_adds_the_worst_row_and_resumes(self, monkeypatch):
+        # seeded with the centre alone, whose row mixes first, the candidates reach eps
+        # before d does; the full check then finds a corner and the search goes on
+        P = _triangulated_grid(13, 13)
+        a = analyze(P)
+        full = []
+        row_distances = chains._row_distances
+
+        def spy(sp, rows, steps):
+            out = row_distances(sp, rows, steps)
+            if len(rows) == P.n:
+                full.append((steps[0], float(out.max())))
+            return out
+
+        monkeypatch.setattr(chains, "_seed_rows", lambda sp: [6 * 13 + 6])
+        monkeypatch.setattr(chains, "_row_distances", spy)
+        for eps in (0.05, 0.25, 0.4):
+            del full[:]
+            t_mix = mixing_time(P, eps, stationary=a.stationary, period=1)
+            assert t_mix == _parent_mixing_time(P, eps, stationary=a.stationary, period=1)
+            assert len(full) >= 2 and full[0][1] > eps >= full[-1][1] and full[-1][0] == t_mix
+
+    def test_non_reversible_chain_keeps_the_parent_search(self, monkeypatch):
+        n = chains.SPECTRAL_MIN_N + 10
+        P = np.diag(np.full(n, 0.5))
+        P[np.arange(n), (np.arange(n) + 1) % n] = 0.3
+        P[np.arange(n), (np.arange(n) + 2) % n] = 0.2
+        P = StochasticMatrix(P)
+        pi = stationary_distribution(P)
+        assert chains._spectrum(P, pi) is None
+        _without_spectrum(monkeypatch, "eigh", "eigvalsh")
+        products = _count_products(monkeypatch)
+        t_mix = mixing_time(P, 0.25, stationary=pi, period=1)
+        k = (t_mix - 1).bit_length() - 1
+        assert len(products) == _level_bound(k)
