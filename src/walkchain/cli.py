@@ -247,10 +247,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     times = trace.t.tolist()
     events: list[pipeline.AlertEvent] = []
     blocked: set[int] = set()
-    for k, (t, v) in enumerate(zip(times, smoothed)):
-        here = mapgraph.LocalPoint(float(pos[v, 0]), float(pos[v, 1]))
+    for k in pipeline.scan_obstacles(pos[smoothed], trace.t, obstacles, args.safer_distance):
+        t, v = times[k], smoothed[k]
         try:
-            warnings = pipeline.detect(here, t, obstacles, profile,
+            warnings = pipeline.detect(mapgraph.LocalPoint(*pos[v].tolist()), t, obstacles, profile,
                                        safer_distance=args.safer_distance)
         except pipeline.ObstacleRangeError as exc:  # name the fix's time by its line
             if not args.trace:
@@ -270,8 +270,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     log_path = out / "alerts.log"
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    log_path.write_text("", encoding="utf-8")  # fresh log per run; sink appends
-    sinks = [pipeline.FileSink(log_path)]
+    sinks = [pipeline.FileSink(log_path, fresh=True)]  # this run's events only
     if args.webhook:
         sinks.append(pipeline.WebhookSink(args.webhook))
     report = pipeline.dispatch(events, sinks)

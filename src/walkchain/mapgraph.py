@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,57 +70,78 @@ class Vertex:
     label: str = ""
 
 
-@dataclass(frozen=True, eq=False)
 class PathGraph:
     """Undirected simple graph of walkable locations.
 
     Vertex ids are dense integers starting at 0 so they double as matrix and
     distribution indices. Edges are stored canonically as (a, b) with a < b.
-    The adjacency is held in CSR form: the neighbours of vertex i, in
-    ascending id, are ``indices[indptr[i]:indptr[i + 1]]`` of
-    ``adjacency()``.
+    The graph is held as read-only arrays: the (n, 2) ``positions()`` and the
+    CSR adjacency, where the neighbours of vertex i, in ascending id, are
+    ``indices[indptr[i]:indptr[i + 1]]`` of ``adjacency()``. The ``vertices``
+    and ``edges`` tuples are built from them on first access.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int], ...]
-    _indptr: np.ndarray = field(init=False, repr=False)
-    _indices: np.ndarray = field(init=False, repr=False)
-    _positions: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("_positions", "_labels", "_ends", "_indptr", "_indices", "_vertices", "_edges")
 
-    def __post_init__(self) -> None:
-        ids = [v.id for v in self.vertices]
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[int, int], ...]):
+        vertices = tuple(vertices)
+        ids = [v.id for v in vertices]
         if ids != list(range(len(ids))):
             raise MapValidationError(
                 f"vertex ids must be dense integers 0..{len(ids) - 1} in order, got {ids}"
             )
-        n = len(ids)
-        canonical: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for a, b in self.edges:
-            if a == b:
-                raise MapValidationError(f"self-loop edge ({a}, {b}) is not allowed")
-            if not (0 <= a < n and 0 <= b < n):
-                raise MapValidationError(f"edge ({a}, {b}) references a missing vertex (n={n})")
-            e = (a, b) if a < b else (b, a)
-            if e in seen:
-                raise MapValidationError(f"duplicate edge ({a}, {b})")
-            seen.add(e)
-            canonical.append(e)
-        canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
-        a, b = np.array(canonical, dtype=np.int64).reshape(-1, 2).T
-        src, dst = np.concatenate((a, b)), np.concatenate((b, a))
-        order = np.lexsort((dst, src))  # by vertex, then neighbour id
+        pos = np.array([[v.position.x, v.position.y] for v in vertices], dtype=float)
+        self._init(pos.reshape(-1, 2), [v.label for v in vertices], tuple(edges))
+        self._vertices = vertices
+
+    @classmethod
+    def _from_arrays(cls, pos: np.ndarray, labels: list[str], edges) -> PathGraph:
+        """Graph of (n, 2) float positions, n labels and ``edges``, an (m, 2) int array or m
+        pairs of vertex ids: the constructor without ``Vertex`` objects."""
+        g = cls.__new__(cls)
+        g._init(pos, labels, edges)
+        return g
+
+    def _init(self, pos: np.ndarray, labels: list[str], edges) -> None:
+        """Check every edge at once and build the CSR. When an edge fails, ``edges`` is
+        checked again pair by pair, so the error names the first bad one."""
+        n = pos.shape[0]
+        try:
+            a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        except OverflowError:  # an endpoint past int64 names no vertex
+            a = b = np.array([-1])
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = np.sort(lo * n + hi)  # one int per canonical edge, in (lo, hi) order
+        if ((lo == hi) | (lo < 0) | (hi >= n)).any() or (key[1:] == key[:-1]).any():
+            _raise_first_bad_edge(edges, n)
+        lo, hi = np.divmod(key, n)
+        # every (vertex, neighbour) pair, by vertex and then neighbour id
+        src, dst = np.divmod(np.sort(np.concatenate((key, hi * n + lo))), n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        pos = np.array([[v.position.x, v.position.y] for v in self.vertices],
-                       dtype=float).reshape(n, 2)
-        for name, arr in (("_indptr", indptr), ("_indices", dst[order]), ("_positions", pos)):
+        for name, arr in (("_indptr", indptr), ("_indices", dst), ("_positions", pos),
+                          ("_ends", np.column_stack((lo, hi)))):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
+        self._labels, self._vertices, self._edges = labels, None, None
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self._positions.shape[0]
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices in id order, built on first access."""
+        if self._vertices is None:
+            self._vertices = tuple(Vertex(k, LocalPoint(x, y), label) for k, ((x, y), label)
+                                   in enumerate(zip(self._positions.tolist(), self._labels)))
+        return self._vertices
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edges (a, b), a < b, in ascending order, built on first access."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self._ends.tolist()))
+        return self._edges
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
@@ -141,6 +164,28 @@ class PathGraph:
         return self._positions
 
 
+def _raise_first_bad_edge(edges, n: int) -> None:
+    """Raise for the first of the pairs ``edges`` that is a self-loop, leaves 0..n-1 or repeats."""
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        if a == b:
+            raise MapValidationError(f"self-loop edge ({a}, {b}) is not allowed")
+        if not (0 <= a < n and 0 <= b < n):
+            raise MapValidationError(f"edge ({a}, {b}) references a missing vertex (n={n})")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise MapValidationError(f"duplicate edge ({a}, {b})")
+        seen.add(e)
+
+
+def _project(lat, lon, origin: GeoPoint):
+    """(x, y) of :func:`project` for floats or float arrays ``lat`` and ``lon``; each
+    ``d * (pi / 180)`` is ``math.radians(d)``, bit for bit."""
+    rad = math.pi / 180.0
+    return (EARTH_RADIUS_M * math.cos(math.radians(origin.lat)) * ((lon - origin.lon) * rad),
+            EARTH_RADIUS_M * ((lat - origin.lat) * rad))
+
+
 def project(p: GeoPoint, origin: GeoPoint) -> LocalPoint:
     """Equirectangular projection of ``p`` to meters east/north of ``origin``.
 
@@ -150,9 +195,7 @@ def project(p: GeoPoint, origin: GeoPoint) -> LocalPoint:
     Adequate for campus-scale extents (hundreds of meters), where the
     flat-earth error is far below GPS noise.
     """
-    x = EARTH_RADIUS_M * math.cos(math.radians(origin.lat)) * math.radians(p.lon - origin.lon)
-    y = EARTH_RADIUS_M * math.radians(p.lat - origin.lat)
-    return LocalPoint(x, y)
+    return LocalPoint(*_project(p.lat, p.lon, origin))
 
 
 def unproject(lp: LocalPoint, origin: GeoPoint) -> GeoPoint:
@@ -206,6 +249,9 @@ def load_map(document: str) -> PathGraph:
     Vertices may use ``x``/``y`` (meters) instead of ``lat``/``lon``; the two
     styles cannot be mixed in one document. Geodetic vertices are projected
     about ``origin``, defaulting to the first vertex when no origin is given.
+    Each field is read into one column and the columns are checked at once;
+    only when a check fails are the vertices or edges checked one by one, so
+    the error names the first bad one.
     """
     doc = _document(document, "document")
     _require(isinstance(doc, dict), "document", "top level must be an object")
@@ -214,17 +260,14 @@ def load_map(document: str) -> PathGraph:
     _require("edges" in doc, "edges", "missing")
     _require(isinstance(doc["edges"], list), "edges", "expected a list")
 
-    raw_vertices = doc["vertices"]
-    styles = set()
-    for k, rv in enumerate(raw_vertices):
-        if not isinstance(rv, dict):
-            raise MapSchemaError(f"vertices[{k}]: expected an object")
-        if "lat" in rv or "lon" in rv:
-            styles.add("geodetic")
-        if "x" in rv or "y" in rv:
-            styles.add("local")
-    _require(styles != {"geodetic", "local"}, "vertices", "mixed lat/lon and x/y coordinate styles")
-    geodetic = styles == {"geodetic"}
+    raw_vertices, raw_edges = doc["vertices"], doc["edges"]
+    if set(map(type, raw_vertices)) - {dict}:
+        k = next(k for k, rv in enumerate(raw_vertices) if not isinstance(rv, dict))
+        raise MapSchemaError(f"vertices[{k}]: expected an object")
+    used = set().union(*raw_vertices)  # every key of every vertex
+    geodetic = not used.isdisjoint(("lat", "lon"))
+    _require(not (geodetic and not used.isdisjoint(("x", "y"))), "vertices",
+             "mixed lat/lon and x/y coordinate styles")
 
     origin: GeoPoint | None = None
     if "origin" in doc and doc["origin"] is not None:
@@ -235,56 +278,66 @@ def load_map(document: str) -> PathGraph:
         except ValueError as exc:
             raise MapSchemaError(f"origin: {exc}") from exc
 
-    vertices: list[Vertex] = []
-    for k, rv in enumerate(raw_vertices):
-        fname = f"vertices[{k}]"
-        vid = _get_number(rv, fname, "id", integer=True)
-        label = rv.get("label", "")
-        if not isinstance(label, str):
-            raise MapSchemaError(f"{fname}.label: expected a string, got {label!r}")
-        if geodetic:
-            lat, lon = _get_number(rv, fname, "lat"), _get_number(rv, fname, "lon")
+    keys = ("lat", "lon") if geodetic else ("x", "y")
+    labels = ([rv.get("label", "") for rv in raw_vertices] if "label" in used
+              else [""] * len(raw_vertices))
+    try:
+        ids, u, w = (tuple(map(itemgetter(key), raw_vertices)) for key in ("id", *keys))
+        coords = None
+        if (set(map(type, ids)) <= {int} and set(map(type, labels)) <= {str}
+                and set(map(type, u + w)) <= {int, float}):
+            coords = np.array((u, w), dtype=float)
+    except (KeyError, OverflowError):  # a field missing, or an integer past the float range
+        coords = None
+    if coords is None or not (np.isfinite(coords).all() and (not geodetic or (
+            (np.abs(coords[0]) <= 90.0).all() and (np.abs(coords[1]) <= 180.0).all()))):
+        for k, rv in enumerate(raw_vertices):  # the first bad vertex raises
+            fname = f"vertices[{k}]"
+            _get_number(rv, fname, "id", integer=True)
+            if not isinstance(rv.get("label", ""), str):
+                raise MapSchemaError(f"{fname}.label: expected a string, got {rv['label']!r}")
+            coords = [_get_number(rv, fname, key) for key in keys]
             try:
-                gp = GeoPoint(lat, lon)
-            except ValueError as exc:
+                (GeoPoint if geodetic else LocalPoint)(*coords)
+            except ValueError as exc:  # a latitude or longitude out of range
                 raise MapSchemaError(f"{fname}: {exc}") from exc
-            if origin is None:
-                origin = gp  # first vertex anchors the local frame
-            pos = project(gp, origin)
-        else:
-            pos = LocalPoint(_get_number(rv, fname, "x"), _get_number(rv, fname, "y"))
-        vertices.append(Vertex(id=vid, position=pos, label=label))
 
-    edges: list[tuple[int, int]] = []
-    for k, re in enumerate(doc["edges"]):
-        if not (isinstance(re, list) and len(re) == 2):
-            raise MapSchemaError(f"edges[{k}]: expected a pair, got {re!r}")
-        a, b = re
-        for side in (a, b):
-            if isinstance(side, bool) or not isinstance(side, int):
+    ends = raw_edges
+    if set(map(type, raw_edges)) <= {list} and set(map(len, raw_edges)) <= {2}:
+        ends = list(chain.from_iterable(raw_edges))
+    if ends is raw_edges or not set(map(type, ends)) <= {int}:
+        for k, re in enumerate(raw_edges):
+            if not (isinstance(re, list) and len(re) == 2):
+                raise MapSchemaError(f"edges[{k}]: expected a pair, got {re!r}")
+            if any(isinstance(side, bool) or not isinstance(side, int) for side in re):
                 raise MapSchemaError(f"edges[{k}]: endpoints must be integers, got {re!r}")
-        edges.append((a, b))
 
-    return PathGraph(vertices=tuple(vertices), edges=tuple(edges))
+    if ids != tuple(range(len(ids))):
+        raise MapValidationError(
+            f"vertex ids must be dense integers 0..{len(ids) - 1} in order, got {list(ids)}"
+        )
+    if geodetic:
+        lat, lon = coords
+        if origin is None:
+            origin = GeoPoint(lat[0], lon[0])  # first vertex anchors the local frame
+        coords = _project(lat, lon, origin)
+    try:
+        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an endpoint past int64: the graph names its pair
+        ends = raw_edges
+    return PathGraph._from_arrays(np.column_stack(coords), labels, ends)
 
 
 def grid_graph(rows: int, cols: int, spacing: float = 1.0) -> PathGraph:
     """Rectangular lattice with unit-id vertices, for synthetic experiments."""
     if rows < 1 or cols < 1 or not (spacing > 0):
         raise ValueError("rows and cols must be >= 1 and spacing > 0")
-    vertices = []
-    for r in range(rows):
-        for c in range(cols):
-            vertices.append(Vertex(id=r * cols + c, position=LocalPoint(c * spacing, r * spacing)))
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-            if r + 1 < rows:
-                edges.append((i, i + cols))
-    return PathGraph(vertices=tuple(vertices), edges=tuple(edges))
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    edges = [np.column_stack((ids[:, :-1].ravel(), ids[:, 1:].ravel())),
+             np.column_stack((ids[:-1].ravel(), ids[1:].ravel()))]
+    return PathGraph._from_arrays(np.column_stack((c, r)) * float(spacing), [""] * (rows * cols),
+                                  np.concatenate(edges))
 
 
 def degree_sum(g: PathGraph) -> int:

@@ -307,15 +307,18 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
     obs, pos = tr.positions(), g.positions()
     log_em = (row for block in _fix_blocks(m, n)
               for row in _log_emissions(obs[block, None], pos, emission_sigma))
+    flat = rows * pred.shape[1]  # where each row of the (n, d) candidates starts, raveled
     for k, em in enumerate(log_em):
         if k == 0:
             delta[:n] = em  # uniform prior contributes a constant; omitted
         else:
-            cand = delta[pred] + log_w
-            j = np.argmax(cand, axis=1)  # first max slot = lowest predecessor id
+            cand = delta.take(pred)
+            cand += log_w
+            j = cand.argmax(axis=1)  # first max slot = lowest predecessor id
             back[k] = j
-            delta[:n] = cand[rows, j] + em
-        if np.max(delta) == -np.inf:
+            j += flat
+            np.add(cand.take(j), em, out=delta[:n])
+        if delta[:n].max() == -np.inf:  # delta[n], the sentinel, is always -inf
             dead = (f"no positive-probability path survives to fix {k}" if k else
                     "no state has positive probability at fix 0")
             if np.isinf(_squared_distances(obs[k], pos)).all():
@@ -402,6 +405,42 @@ def hold_on_obstacle(P: StochasticMatrix, blocked: Iterable[int]) -> StochasticM
         row_sum_tol=P.row_sum_tol)
 
 
+def _check_safer_distance(safer_distance: float) -> None:
+    if not (math.isfinite(safer_distance) and safer_distance > 0):
+        raise ValueError(f"safer_distance must be finite and > 0, got {safer_distance!r}")
+
+
+#: relative widening of the safer distance in ``scan_obstacles``, for the last bits in
+#: which ``np.hypot`` may differ from the ``math.hypot`` of ``detect``
+_SCAN_MARGIN = 1e-9
+
+
+def scan_obstacles(xy: np.ndarray, t: np.ndarray, obstacles: Sequence[Obstacle],
+                   safer_distance: float = DEFAULT_SAFER_DISTANCE_M) -> list[int]:
+    """The fixes, in order, at which ``detect`` may warn or raise, found for all at once.
+
+    Each obstacle's position at each of the (m,) times ``t`` comes from the
+    IEEE operations of ``Obstacle.position_at``. A fix is flagged when one is
+    not finite, or within ``safer_distance`` (widened by ``_SCAN_MARGIN``) of
+    the walker's (m, 2) positions ``xy`` by ``np.hypot``. ``detect`` warns at
+    no other fix, so it alone decides each alert.
+    """
+    _check_safer_distance(safer_distance)
+    if not obstacles:
+        return []
+    start = np.array([[o.position.x, o.position.y] for o in obstacles])
+    velocity = np.array([o.velocity for o in obstacles])
+    flagged, limit = [], safer_distance * (1 + _SCAN_MARGIN)
+    for block in _fix_blocks(t.size, len(obstacles)):
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: flagged
+            ox = start[:, 0] + velocity[:, 0] * t[block, None]
+            oy = start[:, 1] + velocity[:, 1] * t[block, None]
+            near = np.hypot(ox - xy[block, :1], oy - xy[block, 1:]) <= limit
+        near |= ~(np.isfinite(ox) & np.isfinite(oy))
+        flagged += (np.flatnonzero(near.any(axis=1)) + block.start).tolist()
+    return flagged
+
+
 def detect(
     user_position: LocalPoint,
     t: float,
@@ -418,8 +457,7 @@ def detect(
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    if not (math.isfinite(safer_distance) and safer_distance > 0):
-        raise ValueError(f"safer_distance must be finite and > 0, got {safer_distance!r}")
+    _check_safer_distance(safer_distance)
     events = []
     for obs in obstacles:
         at = obs.position_at(t)
@@ -457,13 +495,16 @@ class FileSink:
 
     The file is opened by the first ``deliver`` and held until ``close``, which
     ``dispatch`` calls before it returns: one open per dispatch, not per event.
-    Each line is flushed before ``deliver`` reports it delivered.
+    With ``fresh`` it is opened and emptied at once instead, so the log holds
+    this sink's events only, even when every delivery fails; a file that
+    cannot be opened then raises OSError. Each line is flushed before
+    ``deliver`` reports it delivered.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, fresh: bool = False):
         self.path = path
         self.name = f"file:{path}"
-        self._fh: TextIO | None = None
+        self._fh: TextIO | None = open(path, "w", encoding="utf-8", newline="\n") if fresh else None
 
     def deliver(self, ev: AlertEvent) -> bool:
         try:

@@ -24,8 +24,16 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 
 def _escape(text) -> str:
     """``str(text)`` as XML character data: what ``xml.sax.saxutils.escape`` gives, without
-    importing it (it imports ``urllib.request``, and with it ``http.client`` and ``ssl``)."""
-    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    importing it (it imports ``urllib.request``, and with it ``http.client`` and ``ssl``).
+
+    XML 1.0 has no form, escaped or not, for a C0 control character other than
+    tab, LF and CR: a text holding one raises ValueError naming it.
+    """
+    text = str(text)
+    bad = [] if text.isprintable() else [c for c in text if c < " " and c not in "\t\n\r"]
+    if bad:
+        raise ValueError(f"label {text!r}: control character {bad[0]!r} cannot be written in XML")
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:
@@ -40,7 +48,8 @@ def line_plot(
 ) -> str:
     """Render labeled (xs, ys) series as an SVG document string.
 
-    The title, axis labels and series labels are escaped as XML text. A
+    The title, axis labels and series labels are escaped as XML text; one
+    holding a C0 control character other than tab, LF or CR raises ValueError. A
     series holding a NaN or an infinite value raises ValueError naming it,
     and so do values whose range is wider than the largest float.
     """

@@ -692,6 +692,31 @@ class TestFileSinkHandle:
             assert by[sink.name].flags == (False, True)
             assert sink.path.read_text(encoding="utf-8") == format_alert_line(good) + "\n"
 
+    def test_fresh_sink_opens_once_and_empties_the_log(self, tmp_path, opened):
+        log = tmp_path / "alerts.log"
+        log.write_text("a line from an earlier run\n", encoding="utf-8")
+        sink = FileSink(log, fresh=True)
+        assert log.read_bytes() == b"" and len(opened) == 1
+        assert sink.name == f"file:{log}"
+        events = [_event(t=float(k)) for k in range(3)]
+        assert dispatch(events, [sink]).sinks[0].delivered == 3
+        assert len(opened) == 1 and opened[0].closed
+        assert log.read_text().splitlines() == [format_alert_line(ev) for ev in events]
+        assert dispatch(events[:1], [sink]).sinks[0].delivered == 1  # then it appends
+        assert len(opened) == 2 and len(log.read_text().splitlines()) == 4
+
+    def test_fresh_sink_that_fails_leaves_no_stale_log(self, tmp_path):
+        log = tmp_path / "alerts.log"
+        log.write_text("a line from an earlier run\n", encoding="utf-8")
+        raw = _RawEvent(t=0.0, kind="obstacle_warning", distance=1.0, message="\ud800")
+        report = dispatch([raw], [FileSink(log, fresh=True)])
+        assert (report.sinks[0].delivered, report.sinks[0].failed) == (0, 1)
+        assert log.read_bytes() == b""
+
+    def test_fresh_sink_that_cannot_open_raises(self, tmp_path):
+        with pytest.raises(OSError):
+            FileSink(tmp_path / "missing_dir" / "alerts.log", fresh=True)
+
     def test_dead_sink_fails_every_event(self, tmp_path):
         dead = FileSink(tmp_path / "missing_dir" / "alerts.log")
         report = dispatch([_event(t=float(k)) for k in range(3)], [dead])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -76,6 +77,21 @@ def test_text_is_escaped():
 def test_escaping_matches_saxutils():
     label = "&amp; <x> & > <"
     assert f">{escape(label)}</text>" in line_plot([(label, [0], [0])])
+
+
+@pytest.mark.parametrize("char", [chr(c) for c in range(32) if chr(c) not in "\t\n\r"])
+def test_c0_control_character_rejected_naming_the_label(char):
+    label = f"a{char}b"
+    for args in (([(label, [0, 1], [0, 1])],), ([("s", [0, 1], [0, 1])], label),
+                 ([("s", [0, 1], [0, 1])], "", "", label)):
+        with pytest.raises(ValueError, match=re.escape(f"label {label!r}: control character")):
+            line_plot(*args)
+
+
+def test_tab_lf_and_cr_are_kept():
+    svg = line_plot([("a\tb\nc\rd", [0, 1], [0, 1])])
+    assert "a\tb\nc\rd" in svg
+    ET.fromstring(svg)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
