@@ -16,19 +16,15 @@ from .chains import (
     array_from_csv,
     array_to_csv,
     commute_time,
-    distribution_from_csv,
-    distribution_to_csv,
     evolve,
     hitting_time,
     hitting_times,
-    matrix_from_csv,
     matrix_to_csv,
     mixing_rate,
     mixing_time,
     n_step,
     sample_path,
     stationary_distribution,
-    total_variation,
 )
 from .ctmc import (
     GeneratorMatrix,
@@ -39,7 +35,6 @@ from .ctmc import (
     poisson_truncation,
     poisson_window,
     sample_arrivals,
-    sojourn_mean,
     transient,
 )
 from .mapgraph import (
@@ -55,7 +50,6 @@ from .mapgraph import (
     load_map,
     project,
     random_walk_matrix,
-    unproject,
 )
 from .pipeline import (
     ALERT_KINDS,
@@ -96,7 +90,6 @@ from .profiles import (
     ComparisonTable,
     DistanceError,
     WalkingProfile,
-    builtin_profiles,
     comparison_table,
     distance_of_steps,
     get_profile,

@@ -447,15 +447,6 @@ def _spectrum(P: StochasticMatrix, pi: Distribution) -> _Spectrum | None:
     return _Spectrum(lam[order], U[:, order], pi.probs, np.sqrt(pi.probs), asym)
 
 
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance 0.5 * sum |p - q| between two probability vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
 def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS, cap: int = MIXING_TIME_CAP, *,
                 stationary: Distribution | None = None, period: int | None = None) -> int | None:
     """Smallest t in 1..cap with d(t) = max_i TV(row i of P**t, stationary) <= eps.
@@ -857,16 +848,3 @@ def array_from_csv(text: str) -> np.ndarray:
 def matrix_to_csv(P: StochasticMatrix, out: TextIO | None = None) -> str | None:
     """``array_to_csv`` of P's rows, from its CSR entries."""
     return array_to_csv(P, out)
-
-
-def matrix_from_csv(text: str) -> StochasticMatrix:
-    return StochasticMatrix(array_from_csv(text))
-
-
-def distribution_to_csv(d: Distribution) -> str:
-    return "\n".join(repr(float(x)) for x in d.probs) + "\n"
-
-
-def distribution_from_csv(text: str) -> Distribution:
-    values = [float(line) for line in text.strip().splitlines() if line.strip()]
-    return Distribution(np.array(values))

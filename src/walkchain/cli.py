@@ -70,6 +70,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     P = mapgraph.random_walk_matrix(g)
     try:  # before any artifact is written
         report = chains.analyze(P)
+        H = chains.hitting_times(P, report.stationary) if report.irreducible and g.n <= 50 else None
     except MemoryError:
         raise _too_dense(args, g.n) from None
     out = Path(args.out_dir)
@@ -107,8 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines = ["vertex,probability"]
         lines += [f"{v},{float(p)!r}" for v, p in enumerate(report.stationary.probs)]
         _write(out / "stationary.csv", "\n".join(lines) + "\n")
-        if g.n <= 50:
-            H = chains.hitting_times(P, report.stationary)
+        if H is not None:
             with _artifact(out / "hitting.csv") as fh:
                 chains.array_to_csv(H, fh)
             with _artifact(out / "commute.csv") as fh:
@@ -224,7 +224,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     if args.trace:
         text = _read(args.trace)
-        trace = pipeline.trace_from_csv(text, profile_name=profile.name)
+        trace = pipeline.trace_from_csv(text)
         lines = [k for k, _ in pipeline.numbered_lines(text)[1:]]  # the file line of each fix
     else:
         trace = _walk_trace(args, g, P, profile)

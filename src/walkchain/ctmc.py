@@ -279,11 +279,6 @@ def _power_sum(P: np.ndarray, weights: list[float]) -> np.ndarray:
     return acc
 
 
-def sojourn_mean(chain: UniformizedChain) -> float:
-    """Mean holding time between jump events: 1 / rate."""
-    return 1.0 / chain.rate
-
-
 def sample_arrivals(rate: float, horizon: float, seed: int) -> np.ndarray:
     """Poisson event times in (0, horizon], by inverse-CDF exponential gaps.
 

@@ -59,9 +59,6 @@ class LocalPoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"local coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
-    def distance_to(self, other: "LocalPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -196,13 +193,6 @@ def project(p: GeoPoint, origin: GeoPoint) -> LocalPoint:
     flat-earth error is far below GPS noise.
     """
     return LocalPoint(*_project(p.lat, p.lon, origin))
-
-
-def unproject(lp: LocalPoint, origin: GeoPoint) -> GeoPoint:
-    """Analytic inverse of :func:`project` about the same origin."""
-    lat = origin.lat + math.degrees(lp.y / EARTH_RADIUS_M)
-    lon = origin.lon + math.degrees(lp.x / (EARTH_RADIUS_M * math.cos(math.radians(origin.lat))))
-    return GeoPoint(lat, lon)
 
 
 def _require(cond: bool, field_name: str, problem: str) -> None:

@@ -85,7 +85,6 @@ class Trace:
     t: np.ndarray
     xy: np.ndarray
     truth: np.ndarray | None = None
-    profile_name: str = ""
 
     def __post_init__(self) -> None:
         t = np.array(self.t, dtype=float)
@@ -161,7 +160,8 @@ class AlertEvent:
             raise ValueError(f"alert kind must be one of {ALERT_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.distance) and self.distance >= 0):
             raise ValueError(f"alert distance must be finite and >= 0, got {self.distance!r}")
-        if "\t" in self.message or "\n" in self.message:
+        # one line of alerts.log: no break that str.splitlines sees (\r, \x85, \u2028, ...)
+        if "\t" in self.message or self.message.splitlines() not in ([], [self.message]):
             raise ValueError("alert message must not contain tabs or newlines")
         try:  # every sink writes it as UTF-8
             self.message.encode("utf-8")
@@ -201,7 +201,7 @@ def simulate_walk(
         dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
         times = np.concatenate(([0.0], np.cumsum(dt)))  # float64 cumsum adds in sequence
     try:
-        return Trace(t=times, xy=pos[path], truth=path, profile_name=profile.name)
+        return Trace(t=times, xy=pos[path], truth=path)
     except FixError as exc:  # only a time can be at fault: vertex positions are finite
         k = exc.fix
         raise ValueError(f"step {k}, edge {path[k - 1]} -> {path[k]}: {exc}") from None
@@ -213,7 +213,7 @@ def add_noise(tr: Trace, sigma: float, seed: int) -> Trace:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(len(tr), 2)) if sigma > 0 else np.zeros((len(tr), 2))
-    return Trace(t=tr.t, xy=tr.xy + noise, truth=tr.truth, profile_name=tr.profile_name)
+    return Trace(t=tr.t, xy=tr.xy + noise, truth=tr.truth)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +566,6 @@ class SinkReport:
 class DeliveryReport:
     sinks: tuple[SinkReport, ...]
 
-    def by_sink(self) -> dict[str, SinkReport]:
-        return {s.sink: s for s in self.sinks}
-
 
 def dispatch(events: Sequence[AlertEvent], sinks: Sequence) -> DeliveryReport:
     """Deliver events to every sink, at most once per (event, sink) per call.
@@ -661,7 +658,7 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     return [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
 
 
-def trace_from_csv(text: str, profile_name: str = "") -> Trace:
+def trace_from_csv(text: str) -> Trace:
     """Parse a trace CSV; errors name the line of ``numbered_lines`` and the field.
 
     An empty or missing truth_vertex field marks a fix without truth.
@@ -691,7 +688,7 @@ def trace_from_csv(text: str, profile_name: str = "") -> Trace:
             _check_trace_fields(k, parts, with_truth)
         raise
     try:
-        return Trace(t=values[:, 0], xy=values[:, 1:], truth=truth, profile_name=profile_name)
+        return Trace(t=values[:, 0], xy=values[:, 1:], truth=truth)
     except FixError as exc:
         raise ValueError(f"trace line {rows[exc.fix][0]}: {exc.field}: {exc}") from None
 

@@ -72,12 +72,8 @@ NORMAL = WalkingProfile("normal", step_length=0.58, step_period=1.0)
 BLIND = WalkingProfile("blind", step_length=0.58, step_period=2.7, rounded_pace=4.66)
 
 
-def builtin_profiles() -> tuple[WalkingProfile, WalkingProfile]:
-    return (NORMAL, BLIND)
-
-
 def get_profile(name: str) -> WalkingProfile:
-    for p in builtin_profiles():
+    for p in (NORMAL, BLIND):
         if p.name == name:
             return p
     raise ValueError(f"unknown profile {name!r}; built-ins are 'normal' and 'blind'")
@@ -183,7 +179,6 @@ def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> Comp
     their message as a :class:`DistanceError` naming the first such row.
     """
     _check_mode(mode)
-    normal, blind = builtin_profiles()
     d = np.array(distances, dtype=np.float64)
     if d.ndim != 1:
         raise ValueError(f"distances must be a flat sequence of numbers, got shape {d.shape}")
@@ -191,10 +186,10 @@ def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> Comp
         # a time grows with its distance, so none overflows (or warns) unless the largest
         # distance's does; a nan fails the first test
         hi = float(d.max())
-        if not (d.min() >= 0 and math.isfinite(_times(normal, hi, mode))
-                and math.isfinite(_times(blind, hi, mode))):
+        if not (d.min() >= 0 and math.isfinite(_times(NORMAL, hi, mode))
+                and math.isfinite(_times(BLIND, hi, mode))):
             _raise_first_bad_row(d, mode)
-    normal_t, blind_t = _times(normal, d, mode), _times(blind, d, mode)
+    normal_t, blind_t = _times(NORMAL, d, mode), _times(BLIND, d, mode)
     if not (blind_t >= normal_t).all():
         _raise_first_bad_row(d, mode)
     for column in (d, normal_t, blind_t):
@@ -204,10 +199,9 @@ def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> Comp
 
 def _raise_first_bad_row(d: np.ndarray, mode: str) -> None:
     """Raise, as a DistanceError, what the row-by-row checks raise for the first row they reject."""
-    normal, blind = builtin_profiles()
     for k, v in enumerate(d.tolist()):
         try:
-            ComparisonRow(v, travel_time(normal, v, mode), travel_time(blind, v, mode))
+            ComparisonRow(v, travel_time(NORMAL, v, mode), travel_time(BLIND, v, mode))
         except ValueError as exc:
             raise DistanceError(k, str(exc)) from None
 
@@ -231,8 +225,11 @@ def load_profile(text: str) -> WalkingProfile:
     for key in ("name", "step_length_m", "step_period_s"):
         if key not in doc:
             raise ValueError(f"profile config: missing field {key!r}")
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"profile config.name: expected a string, got {name!r}")
     return WalkingProfile(
-        name=str(doc["name"]),
+        name=name,
         step_length=_get_number(doc, "profile config", "step_length_m", ValueError),
         step_period=_get_number(doc, "profile config", "step_period_s", ValueError),
     )

@@ -24,14 +24,11 @@ from walkchain import (
     array_to_csv,
     commute_time,
     degree_sum,
-    distribution_from_csv,
-    distribution_to_csv,
     evolve,
     grid_graph,
     hitting_time,
     hitting_times,
     hold_on_obstacle,
-    matrix_from_csv,
     matrix_to_csv,
     mixing_rate,
     mixing_time,
@@ -39,7 +36,6 @@ from walkchain import (
     random_walk_matrix,
     sample_path,
     stationary_distribution,
-    total_variation,
 )
 from conftest import connected_graphs, stochastic_matrices
 
@@ -250,12 +246,6 @@ class TestStationary:
 
 
 class TestMixing:
-    def test_total_variation_basics(self):
-        assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-        assert total_variation(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
-        with pytest.raises(ValueError):
-            total_variation(np.array([1.0]), np.array([0.5, 0.5]))
-
     def test_lazy_flip_rate_and_time(self):
         assert mixing_rate(LAZY_FLIP) == pytest.approx(0.5, abs=1e-12)
         # rows of P are already within 1/4 of (1/2, 1/2)
@@ -884,13 +874,7 @@ class TestSamplePath:
 class TestCsv:
     @given(stochastic_matrices())
     def test_matrix_roundtrip_is_bit_exact(self, P):
-        back = matrix_from_csv(matrix_to_csv(P))
-        assert np.array_equal(back.entries, P.entries)
-
-    def test_distribution_roundtrip(self):
-        d = Distribution(np.array([0.125, 0.375, 0.5]))
-        back = distribution_from_csv(distribution_to_csv(d))
-        assert np.array_equal(back.probs, d.probs)
+        assert np.array_equal(array_from_csv(matrix_to_csv(P)), P.entries)
 
     def test_array_roundtrip_preserves_tiny_values(self):
         arr = np.array([[1e-17, 1.0 - 1e-16], [0.3333333333333333, 2.0 / 3.0]])

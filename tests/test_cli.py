@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walkchain import cli, ctmc, pipeline
+from walkchain import chains, cli, ctmc, pipeline
 from walkchain import (
     BLIND,
     StochasticMatrix,
@@ -603,6 +603,39 @@ class TestInputContract:
             f"error: --map {line_map}: 3 states do not fit the dense algebra in memory "
             "(one n x n matrix needs 72 bytes)\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("error, named", [
+        (ValueError("hitting time 0->2: the chain is too ill-conditioned"), "too ill-conditioned"),
+        (MemoryError(), "3 states do not fit the dense algebra in memory"),
+    ], ids=["ill_conditioned", "out_of_memory"])
+    def test_failed_hitting_times_leave_no_artifact(self, tmp_path, line_map, capsys,
+                                                    monkeypatch, error, named):
+        def failing(P, pi):
+            raise error
+
+        monkeypatch.setattr(chains, "hitting_times", failing)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["analyze", "--map", line_map, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert named in err
+        if isinstance(error, MemoryError):
+            assert f"--map {line_map}" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [None, 5, True, ["slow"]], ids=["null", "int", "bool", "list"])
+    def test_profile_name_must_be_a_string(self, tmp_path, line_map, capsys, name):
+        config = tmp_path / "profile.json"
+        config.write_text(json.dumps({"name": name, "step_length_m": 0.5,
+                                      "step_period_s": 1.0}), encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--map", line_map, "--profile-config", str(config),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: profile config.name: expected a string, got {name!r}\n")
+        assert not out.exists()
 
     def test_profile_config_with_null_step_length(self, tmp_path, line_map, capsys):
         config = tmp_path / "profile.json"

@@ -23,7 +23,6 @@ from walkchain import (
     poisson_window,
     random_walk_matrix,
     sample_arrivals,
-    sojourn_mean,
     stationary_distribution,
     transient,
 )
@@ -418,9 +417,6 @@ class TestPowerSum:
 
 
 class TestClock:
-    def test_sojourn_mean_is_reciprocal_rate(self):
-        assert sojourn_mean(UniformizedChain(FLIP, rate=4.0)) == 0.25
-
     def test_arrivals_sorted_within_horizon(self):
         times = sample_arrivals(3.0, 10.0, seed=7)
         assert np.all(np.diff(times) > 0)

@@ -134,6 +134,19 @@ class TestDataTypes:
         with pytest.raises(ValueError):
             AlertEvent(t=0.0, kind="obstacle_warning", distance=-1.0, message="m")
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_alert_message_rejects_every_line_break(self, brk):
+        # each is a break of str.splitlines, so alerts.log would read back as more lines
+        for message in (f"near{brk}wall", f"near wall{brk}", brk):
+            with pytest.raises(ValueError, match="tabs or newlines"):
+                AlertEvent(t=0.0, kind="obstacle_warning", distance=1.0, message=message)
+
+    def test_alert_message_on_one_line_is_accepted(self):
+        for message in ("", "near wall", "caf\u00e9 \u00a0 \x1f"):
+            assert AlertEvent(t=0.0, kind="obstacle_warning", distance=1.0,
+                              message=message).message == message
+
     def test_alert_message_must_encode_as_utf8(self):
         with pytest.raises(ValueError, match=re.escape("alert message '\\ud800' is not encodable")):
             AlertEvent(t=0.0, kind="obstacle_warning", distance=1.0, message="\ud800")
@@ -583,7 +596,7 @@ class TestDispatch:
         dead = FileSink(tmp_path / "missing_dir" / "alerts.log")
         live = FileSink(tmp_path / "alerts.log")
         report = dispatch([_event()], [dead, live])
-        by = report.by_sink()
+        by = {s.sink: s for s in report.sinks}
         assert by[dead.name].failed == 1 and by[dead.name].delivered == 0
         assert by[live.name].delivered == 1
         assert (tmp_path / "alerts.log").exists()
@@ -626,7 +639,7 @@ class TestDispatch:
         monkeypatch.setattr(urllib.request, "urlopen", broken)
         hook = WebhookSink("http://alerts.invalid/x")
         live = FileSink(tmp_path / "alerts.log")
-        by = dispatch([_event()], [hook, live]).by_sink()
+        by = {s.sink: s for s in dispatch([_event()], [hook, live]).sinks}
         assert (by[hook.name].delivered, by[hook.name].failed) == (0, 1)
         assert by[live.name].delivered == 1
 
@@ -686,7 +699,7 @@ class TestFileSinkHandle:
         raw = _RawEvent(t=0.0, kind="obstacle_warning", distance=1.0, message="\ud800")
         good = _event()
         first, second = FileSink(tmp_path / "a.log"), FileSink(tmp_path / "b.log")
-        by = dispatch([raw, good], [first, second]).by_sink()
+        by = {s.sink: s for s in dispatch([raw, good], [first, second]).sinks}
         for sink in (first, second):
             assert (by[sink.name].delivered, by[sink.name].failed) == (1, 1)
             assert by[sink.name].flags == (False, True)
@@ -744,7 +757,7 @@ class TestSerialization:
         g = grid_graph(3, 3, 1.0)
         tr = simulate_walk(g, random_walk_matrix(g), BLIND, start=0, n_steps=12, seed=8)
         noisy = add_noise(tr, sigma=0.4, seed=9)
-        back = trace_from_csv(trace_to_csv(noisy), profile_name=noisy.profile_name)
+        back = trace_from_csv(trace_to_csv(noisy))
         assert np.array_equal(back.positions(), noisy.positions())
         assert back.t.tolist() == noisy.t.tolist()
         assert back.truth.tolist() == noisy.truth.tolist()
@@ -1175,7 +1188,7 @@ class TestPerFixReference:
         t, xy, truth = _columns_of(ref_noisy)
         assert noisy.t.tobytes() == np.array(t).tobytes()
         assert noisy.xy.tobytes() == np.array(xy).tobytes()
-        assert noisy.truth.tolist() == truth and noisy.profile_name == profile.name
+        assert noisy.truth.tolist() == truth
 
     @given(_per_fix_traces())
     @settings(max_examples=200)
