@@ -21,8 +21,6 @@ ROW_SUM_TOL = 1e-12
 MIXING_EPS = 0.25
 #: steps after which mixing-time search gives up (periodic chains never mix)
 MIXING_TIME_CAP = 10_000
-#: ``mixing_time`` holds P**(2**j) for each j divisible by this and rebuilds the levels between
-MIXING_LEVEL_STRIDE = 2
 #: largest relative gap allowed between the all-pairs and the direct hitting-time solve
 HITTING_CHECK_RTOL = 1e-9
 #: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``mixing_rate`` takes P as reversible
@@ -481,13 +479,14 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS, cap: int = MIXING_
     Below SPECTRAL_MIN_N states, where that takes longer, and for a chain
     that is not reversible, squaring brackets the answer in (s, 2s] with
     s = 2**k; binary lifting from P**s then adds jumps s/2, s/4, ..., 1 while
-    d stays above eps. The squaring keeps level P**(2**j) for every j
-    divisible by MIXING_LEVEL_STRIDE, and the lifting rebuilds each other
-    jump by squaring the held level below it, so every jump is the same
-    chain of squarings from P, bit for bit. That takes 2k + 1 +
-    sum(j % MIXING_LEVEL_STRIDE for j < k) matrix products, and about
-    ceil(k / MIXING_LEVEL_STRIDE) + 3 n x n arrays besides P.
+    d stays above eps. The squaring keeps every level P**(2**j), j < k, and
+    the lifting takes them as its jumps. That takes at most 2k + 1 matrix
+    products and about k + 3 n x n arrays besides P.
+
+    Raises ValueError when cap is not a Python or numpy integer.
     """
+    if not isinstance(cap, (int, np.integer)):
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     if stationary is None or period is None:
         classes, _, periods = _class_structure(P)
         stationary = stationary_distribution(P, classes)
@@ -503,9 +502,9 @@ class _WithinBand(Exception):
 
 def _mixing_time(P: StochasticMatrix, eps: float, cap: int, stationary: Distribution,
                  spectrum: _Spectrum | None) -> int | None:
-    """``mixing_time`` for cap >= 1: in ``spectrum`` when there is one and cap is an integer,
-    else over powers of P."""
-    if spectrum is not None and isinstance(cap, (int, np.integer)):
+    """``mixing_time`` for an integer cap >= 1: in ``spectrum`` when there is one, else over
+    powers of P."""
+    if spectrum is not None:
         try:
             return _spectral_search(spectrum, eps, int(cap))
         except _WithinBand:
@@ -621,7 +620,7 @@ def _level_search(P: StochasticMatrix, eps: float, cap: int, pi: np.ndarray) -> 
         np.abs(D, out=D)
         return 0.5 * D.sum(axis=1).max() > eps
 
-    held = {}  # level j -> P**(2**j), for the j < k divisible by the stride
+    levels = []  # P**(2**j) for j = 0, 1, ... below the level of M
     s, M = 1, P.entries  # invariant: M = P**s and d(s) > eps
     if not above(M):
         return 1
@@ -629,21 +628,14 @@ def _level_search(P: StochasticMatrix, eps: float, cap: int, pi: np.ndarray) -> 
         M2 = np.matmul(M, M)
         if not above(M2):
             break
-        j = s.bit_length() - 1
-        if j % MIXING_LEVEL_STRIDE == 0:
-            held[j] = M
+        levels.append(M)
         s, M = 2 * s, M2
     M2 = None  # P**(2s) is not needed below
     # d(s) > eps and d(2s) <= eps unless 2s > cap; lifting ends at the last t < 2s
     # with d(t) > eps, and t >= cap then means d(cap) > eps
     t = s
     for j in range(s.bit_length() - 2, -1, -1):
-        base = j - j % MIXING_LEVEL_STRIDE
-        B = held[base] if base < j else held.pop(j)
-        for _ in range(j - base):
-            B = np.matmul(B, B)
-        C = np.matmul(M, B)
-        del B
+        C = np.matmul(M, levels.pop())  # M @ P**(2**j)
         if above(C):
             t, M = t + (1 << j), C
         del C

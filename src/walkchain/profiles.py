@@ -190,8 +190,6 @@ def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> Comp
                 and math.isfinite(_times(BLIND, hi, mode))):
             _raise_first_bad_row(d, mode)
     normal_t, blind_t = _times(NORMAL, d, mode), _times(BLIND, d, mode)
-    if not (blind_t >= normal_t).all():
-        _raise_first_bad_row(d, mode)
     for column in (d, normal_t, blind_t):
         column.flags.writeable = False
     return ComparisonTable(d, normal_t, blind_t)

@@ -10,14 +10,13 @@ import numpy as np
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 40, 56  # margins
-#: px and py as one (x, y) row: scale (pw, -ph), then shift by the plot area's lower-left corner
+#: pixels of an (x, y) row: scale its place in the range by (pw, -ph), then shift by the
+#: plot area's lower-left corner
 _SCALE = np.array([_W - _ML - _MR, -(_H - _MT - _MB)], dtype=np.float64)
 _ORIGIN = np.array([_ML, _H - _MB], dtype=np.float64)
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = (hi - lo) / (count - 1)
     return [lo + i * span for i in range(count)]
 
@@ -78,14 +77,17 @@ def line_plot(
         x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
         y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
-    pw = _W - _ML - _MR
-    ph = _H - _MT - _MB
-
-    def px(x: float) -> float:
-        return _ML + (x - x_lo) / (x_hi - x_lo) * pw
-
-    def py(y: float) -> float:
-        return _MT + ph - (y - y_lo) / (y_hi - y_lo) * ph
+    bottom, right = _H - _MB, _W - _MR  # edges of the plot area
+    tx, ty = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
+    tick_px = np.array([tx, ty]).T
+    # ticks and points to pixels in place, by one transform, so a tick sits on the pixel
+    # of a point with its value
+    span = np.array([x_hi - x_lo, y_hi - y_lo])
+    for a in (tick_px, pts):
+        a -= lo
+        a /= span
+        a *= _SCALE
+        a += _ORIGIN
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -95,28 +97,21 @@ def line_plot(
     if title:
         out.append(f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>')
     # axes
-    out.append(
-        f'<path d="M {_ML} {_MT} V {_MT + ph} H {_ML + pw}" fill="none" stroke="black" stroke-width="1"/>'
-    )
-    for tx in _ticks(x_lo, x_hi):
-        out.append(f'<line x1="{px(tx):.2f}" y1="{_MT + ph}" x2="{px(tx):.2f}" y2="{_MT + ph + 5}" stroke="black"/>')
-        out.append(f'<text x="{px(tx):.2f}" y="{_MT + ph + 20}" text-anchor="middle">{_fmt(tx)}</text>')
-    for ty in _ticks(y_lo, y_hi):
-        out.append(f'<line x1="{_ML - 5}" y1="{py(ty):.2f}" x2="{_ML}" y2="{py(ty):.2f}" stroke="black"/>')
-        out.append(f'<text x="{_ML - 8}" y="{py(ty) + 4:.2f}" text-anchor="end">{_fmt(ty)}</text>')
+    out.append(f'<path d="M {_ML} {_MT} V {bottom} H {right}" fill="none" stroke="black" stroke-width="1"/>')
+    for t, x in zip(tx, tick_px[:, 0].tolist()):
+        out.append(f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" stroke="black"/>')
+        out.append(f'<text x="{x:.2f}" y="{bottom + 20}" text-anchor="middle">{_fmt(t)}</text>')
+    for t, y in zip(ty, tick_px[:, 1].tolist()):
+        out.append(f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>')
+        out.append(f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end">{_fmt(t)}</text>')
     if xlabel:
-        out.append(f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" text-anchor="middle">{_escape(xlabel)}</text>')
+        out.append(f'<text x="{(_ML + right) / 2:.1f}" y="{_H - 12}" text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         out.append(
-            f'<text x="18" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {_MT + ph / 2:.1f})">{_escape(ylabel)}</text>'
+            f'<text x="18" y="{(_MT + bottom) / 2:.1f}" text-anchor="middle" '
+            f'transform="rotate(-90 18 {(_MT + bottom) / 2:.1f})">{_escape(ylabel)}</text>'
         )
-    # data: px and py of every point with their roundings, in place (q * -ph + (_MT + ph)
-    # is the float (_MT + ph) - q * ph), then one %.2f format per series
-    pts -= lo
-    pts /= np.array([x_hi - x_lo, y_hi - y_lo])
-    pts *= _SCALE
-    pts += _ORIGIN
+    # data: one %.2f format per series
     flat = pts.ravel().tolist()
     for k, (start, end) in enumerate(zip([0, *ends], ends)):
         color = _COLORS[k % len(_COLORS)]

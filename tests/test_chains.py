@@ -610,6 +610,16 @@ class TestReferenceOracles:
         for cap in range(1, 41):
             assert mixing_time(P, cap=cap) == _reference_mixing_time(P, 0.25, cap)[0]
 
+    def test_cap_must_be_an_integer(self):
+        # d(t) = 0.5 * 0.98**t first drops to 1/4 at t = 35, so no cap below 35 may answer 35
+        P = _sm([[0.99, 0.01], [0.01, 0.99]])
+        for cap in (34.5, 34.9, np.float64(34.2), 35.0, math.inf, "35", None):
+            with pytest.raises(ValueError) as caught:
+                mixing_time(P, cap=cap)
+            assert str(caught.value) == f"cap must be an integer, got {cap!r}"
+        assert mixing_time(P, cap=34) is None and mixing_time(P, cap=np.int64(34)) is None
+        assert mixing_time(P, cap=35) == 35 == mixing_time(P, cap=np.int32(35))
+
 
 def _parent_mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = chains.MIXING_TIME_CAP,
                         *, stationary=None, period=None):
@@ -655,7 +665,7 @@ def _parent_mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = chain
 
 def _level_bound(k: int) -> int:
     """Products of the search that brackets t_mix in (2**k, 2**(k + 1)] and stops squaring there."""
-    return 2 * k + 1 + sum(j % chains.MIXING_LEVEL_STRIDE for j in range(k))
+    return 2 * k + 1
 
 
 def _count_products(monkeypatch) -> list:
@@ -716,7 +726,7 @@ class TestMixingLevels:
         parent = [2 * k + 1 + k * (k - 1) // 2 for k in range(12)]
         assert all(_level_bound(k) <= parent[k] for k in range(12))
         assert [k for k in range(3, 12) if _level_bound(k) < parent[k]] == list(range(3, 12))
-        assert _level_bound(7) == 18 and parent[7] == 36  # the n = 324 benchmark map, t_mix = 159
+        assert _level_bound(7) == 15 and parent[7] == 36  # the n = 324 benchmark map, t_mix = 159
 
     def test_products_on_a_grid(self, monkeypatch):
         P = _triangulated_grid(10, 10)
@@ -739,6 +749,22 @@ class TestMixingLevels:
         k = (t_mix - 1).bit_length() - 1
         assert t_mix == a.mixing_time and k == 7
         assert peak <= (-(-k // 2) + 3) * 8 * P.n ** 2 + (64 << 10)
+
+    def test_level_search_peak_memory_at_n_324(self):
+        # the search over powers of P itself, which the spectral search above hands a
+        # decision within its guard band, holds every level P**(2**j) with j < k
+        P = _triangulated_grid(18, 18)
+        a = analyze(P)
+        pi = a.stationary.probs[None, :]
+        tracemalloc.start()
+        try:
+            t_mix = chains._level_search(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = (t_mix - 1).bit_length() - 1
+        assert t_mix == a.mixing_time and k == 7
+        assert peak <= (k + 3) * 8 * P.n ** 2 + (64 << 10)
 
 
 def _parent_class_period(succ: list[list[int]], members: list[int], class_of: list[int]) -> int:
@@ -1055,8 +1081,8 @@ class TestSpectralMixing:
         P = _triangulated_grid(12, 12)
         a = analyze(P)
         known = {"stationary": a.stationary, "period": 1}
-        for eps, cap in ((0.25, np.int64(60)), (0.25, np.int64(500)), (0.25, 80.5), (0.1, math.inf),
-                         (math.nan, 500), (np.float64(0.25), 500)):
+        for eps, cap in ((0.25, np.int64(60)), (0.25, np.int64(500)), (math.nan, 500),
+                         (np.float64(0.25), 500)):
             assert mixing_time(P, eps, cap, **known) == _parent_mixing_time(P, eps, cap, **known)
 
     def test_a_failed_full_check_adds_the_worst_row_and_resumes(self, monkeypatch):

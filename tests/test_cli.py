@@ -332,6 +332,19 @@ class TestTrack:
         assert rc == 0
         assert len((track_out / "path.csv").read_text().splitlines()) == 17
 
+    @pytest.mark.parametrize("profile, seconds", [("normal", "5.17"), ("blind", "13.97")])
+    def test_profile_paces_warnings_on_a_trace_file(self, tmp_path, profile, seconds):
+        # detect reads the profile's speed, so --profile counts with --trace too
+        trace, obstacles, out = tmp_path / "trace.csv", tmp_path / "obstacles.json", tmp_path / "out"
+        trace.write_text("t_s,x_m,y_m\n0.0,0.0,0.0\n", encoding="utf-8")
+        obstacles.write_text(json.dumps([{"id": 1, "kind": "stationary", "x": 3.0, "y": 0.0,
+                                          "vx": 0.0, "vy": 0.0}]), encoding="utf-8")
+        assert main(["track", "--map", DEMO_MAP, "--trace", str(trace), "--obstacles",
+                     str(obstacles), "--profile", profile, "--out-dir", str(out)]) == 0
+        assert (out / "alerts.log").read_text().splitlines()[0] == (
+            f"0.0\tobstacle_warning\t3.0\tstationary obstacle 1 at 3.00 m; {seconds} s away "
+            "at walking pace")
+
     def test_truth_scanned_a_fixed_number_of_times(self, tmp_path, monkeypatch):
         calls = []
         has_truth = Trace.has_truth
