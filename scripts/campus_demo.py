@@ -10,6 +10,7 @@ from pathlib import Path
 from walkchain import (
     BLIND,
     FileSink,
+    LocalPoint,
     add_noise,
     analyze,
     detect,
@@ -52,8 +53,9 @@ def main():
 
     obstacles = obstacles_from_json((DATA / "obstacles.json").read_text())
     events = []
+    pos = g.positions()
     for t, v in zip(noisy.t.tolist(), est_smooth):
-        events.extend(detect(g.vertices[v].position, t, obstacles, BLIND,
+        events.extend(detect(LocalPoint(*pos[v].tolist()), t, obstacles, BLIND,
                              safer_distance=args.safer_distance))
     print(f"{len(events)} alert(s) along the smoothed path:")
     for ev in events:

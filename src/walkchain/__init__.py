@@ -11,7 +11,6 @@ from .chains import (
     Distribution,
     StochasticMatrix,
     UnreachableStateError,
-    accessible,
     analyze,
     array_from_csv,
     array_to_csv,
@@ -44,7 +43,6 @@ from .mapgraph import (
     MapSchemaError,
     MapValidationError,
     PathGraph,
-    Vertex,
     degree_sum,
     grid_graph,
     load_map,
@@ -72,7 +70,6 @@ from .pipeline import (
     hold_on_obstacle,
     localization_error,
     obstacles_from_json,
-    sequence_log_score,
     simulate_walk,
     smooth,
     snap,
@@ -86,7 +83,6 @@ from .profiles import (
     MODES,
     NORMAL,
     SURVEY_DISTANCES_M,
-    ComparisonRow,
     ComparisonTable,
     DistanceError,
     WalkingProfile,

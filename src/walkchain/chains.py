@@ -260,14 +260,6 @@ def _reachable(P: StochasticMatrix, start: int, reverse=False, stop: int = -1) -
     return np.array(seen)
 
 
-def accessible(P: StochasticMatrix, i: int, j: int) -> bool:
-    """True when j can be reached from i in zero or more positive-probability steps."""
-    for s in (i, j):
-        if not (0 <= s < P.n):
-            raise ValueError(f"state {s} outside 0..{P.n - 1}")
-    return i == j or bool(_reachable(P, i)[j])
-
-
 def _communicating_classes(indptr, indices) -> tuple[list[list[int]], list[int]]:
     """SCCs of a CSR digraph by iterative Tarjan (sorted, by smallest member) and DFS depths."""
     indptr, indices = indptr.tolist(), indices.tolist()
@@ -483,10 +475,12 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS, cap: int = MIXING_
     the lifting takes them as its jumps. That takes at most 2k + 1 matrix
     products and about k + 3 n x n arrays besides P.
 
-    Raises ValueError when cap is not a Python or numpy integer.
+    Raises ValueError when cap is not a Python or numpy integer, or eps is NaN.
     """
     if not isinstance(cap, (int, np.integer)):
         raise ValueError(f"cap must be an integer, got {cap!r}")
+    if math.isnan(eps):
+        raise ValueError(f"eps must be a number, got {eps!r}")
     if stationary is None or period is None:
         classes, _, periods = _class_structure(P)
         stationary = stationary_distribution(P, classes)

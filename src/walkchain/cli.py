@@ -79,10 +79,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("warning: walk chain is reducible; stationary and mixing fields omitted",
               file=sys.stderr)
 
+    degree_sum = mapgraph.degree_sum(g)
     summary = [
         ("n_vertices", g.n),
-        ("n_edges", len(g.edges)),
-        ("degree_sum", mapgraph.degree_sum(g)),
+        ("n_edges", degree_sum // 2),
+        ("degree_sum", degree_sum),
         ("irreducible", report.irreducible),
         ("n_classes", len(report.classes)),
         ("mixing_rate", report.mixing_rate),
@@ -299,7 +300,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows, lines = _table_rows(args.distances, args.mode)
-    totals = np.zeros((3, len(rows) + 1))  # running sums from 0.0, added in row order
+    totals = np.zeros((3, rows.distance.size + 1))  # running sums from 0.0, added in row order
     totals[0, 1:], totals[1, 1:], totals[2, 1:] = rows.distance, rows.normal_time, rows.blind_time
     with np.errstate(over="ignore"):  # an overflow is the inf tested below
         cum_d, cum_n, cum_b = np.cumsum(totals, axis=1)
@@ -311,7 +312,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     texts = {
         "walking_table.csv": profiles.table_to_csv(rows),
         "segment_distances.svg": svgplot.line_plot(
-            [("segment length", np.arange(1.0, len(rows) + 1), rows.distance)],
+            [("segment length", np.arange(1.0, rows.distance.size + 1), rows.distance)],
             title="Surveyed segment lengths",
             xlabel="segment",
             ylabel="distance (m)",

@@ -156,7 +156,7 @@ def _bd0(x: float, mu: float) -> float:
 def poisson_truncation(rate: float, t: float, tol: float) -> int:
     """Smallest N with cumulative Poisson mass >= 1 - tol (tail beyond N < tol)."""
     _check_tol(tol)
-    mu = rate * t
+    mu = _poisson_mean(rate, t)
     mass = 0.0
     cap = int(mu + 50.0 * math.sqrt(mu + 4.0)) + 64
     for n in range(cap + 1):

@@ -60,49 +60,42 @@ class LocalPoint:
             raise ValueError(f"local coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    position: LocalPoint
-    label: str = ""
-
-
 class PathGraph:
     """Undirected simple graph of walkable locations.
 
-    Vertex ids are dense integers starting at 0 so they double as matrix and
-    distribution indices. Edges are stored canonically as (a, b) with a < b.
-    The graph is held as read-only arrays: the (n, 2) ``positions()`` and the
-    CSR adjacency, where the neighbours of vertex i, in ascending id, are
-    ``indices[indptr[i]:indptr[i + 1]]`` of ``adjacency()``. The ``vertices``
-    and ``edges`` tuples are built from them on first access.
+    The vertex ids are dense integers 0..n-1, so they double as matrix and
+    distribution indices. The graph is held as read-only arrays: the (n, 2)
+    ``positions()`` and the CSR adjacency, where the neighbours of vertex i,
+    in ascending id, are ``indices[indptr[i]:indptr[i + 1]]`` of
+    ``adjacency()``. ``edges`` and ``labels()`` are read from them.
     """
 
-    __slots__ = ("_positions", "_labels", "_ends", "_indptr", "_indices", "_vertices", "_edges")
+    __slots__ = ("_positions", "_labels", "_indptr", "_indices")
 
-    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[int, int], ...]):
-        vertices = tuple(vertices)
-        ids = [v.id for v in vertices]
-        if ids != list(range(len(ids))):
-            raise MapValidationError(
-                f"vertex ids must be dense integers 0..{len(ids) - 1} in order, got {ids}"
-            )
-        pos = np.array([[v.position.x, v.position.y] for v in vertices], dtype=float)
-        self._init(pos.reshape(-1, 2), [v.label for v in vertices], tuple(edges))
-        self._vertices = vertices
+    def __init__(self, positions, edges, labels=None):
+        """Graph of ``positions``, an (n, 2) array of finite floats, ``edges``, an (m, 2)
+        int array or m pairs of vertex ids, and ``labels``, n strings ("" each when None).
 
-    @classmethod
-    def _from_arrays(cls, pos: np.ndarray, labels: list[str], edges) -> PathGraph:
-        """Graph of (n, 2) float positions, n labels and ``edges``, an (m, 2) int array or m
-        pairs of vertex ids: the constructor without ``Vertex`` objects."""
-        g = cls.__new__(cls)
-        g._init(pos, labels, edges)
-        return g
-
-    def _init(self, pos: np.ndarray, labels: list[str], edges) -> None:
-        """Check every edge at once and build the CSR. When an edge fails, ``edges`` is
-        checked again pair by pair, so the error names the first bad one."""
+        Every edge is checked at once; when one fails, ``edges`` is checked again
+        pair by pair, so the error names the first bad one.
+        """
+        try:
+            pos = np.array(positions, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise MapValidationError("positions must be an (n, 2) array of floats") from None
+        if pos.shape == (0,):  # [] holds no vertices
+            pos = pos.reshape(0, 2)
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise MapValidationError(f"positions must be an (n, 2) array, got shape {pos.shape}")
         n = pos.shape[0]
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if bad.size:
+            raise MapValidationError(f"position {bad[0]} {tuple(pos[bad[0]].tolist())} is not finite")
+        if labels is None:
+            labels = ("",) * n
+        elif not (isinstance(labels, (list, tuple)) and len(labels) == n
+                  and all(isinstance(s, str) for s in labels)):
+            raise MapValidationError(f"labels must be a list or tuple of n = {n} strings")
         try:
             a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         except OverflowError:  # an endpoint past int64 names no vertex
@@ -115,30 +108,25 @@ class PathGraph:
         # every (vertex, neighbour) pair, by vertex and then neighbour id
         src, dst = np.divmod(np.sort(np.concatenate((key, hi * n + lo))), n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        for name, arr in (("_indptr", indptr), ("_indices", dst), ("_positions", pos),
-                          ("_ends", np.column_stack((lo, hi)))):
+        for arr in (indptr, dst, pos):
             arr.flags.writeable = False
-            setattr(self, name, arr)
-        self._labels, self._vertices, self._edges = labels, None, None
+        self._positions, self._indptr, self._indices = pos, indptr, dst
+        self._labels = tuple(labels)
 
     @property
     def n(self) -> int:
         return self._positions.shape[0]
 
     @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        """The vertices in id order, built on first access."""
-        if self._vertices is None:
-            self._vertices = tuple(Vertex(k, LocalPoint(x, y), label) for k, ((x, y), label)
-                                   in enumerate(zip(self._positions.tolist(), self._labels)))
-        return self._vertices
-
-    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The canonical edges (a, b), a < b, in ascending order, built on first access."""
-        if self._edges is None:
-            self._edges = tuple(map(tuple, self._ends.tolist()))
-        return self._edges
+        """The canonical edges (a, b), a < b, in ascending order: the CSR pairs with a < b."""
+        src = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        up = src < self._indices
+        return tuple(zip(src[up].tolist(), self._indices[up].tolist()))
+
+    def labels(self) -> tuple[str, ...]:
+        """The vertex labels in id order."""
+        return self._labels
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
@@ -157,7 +145,7 @@ class PathGraph:
         return self._indptr, self._indices
 
     def positions(self) -> np.ndarray:
-        """Vertex positions as a read-only (n, 2) float array in id order."""
+        """The vertex positions as a read-only (n, 2) float array in id order."""
         return self._positions
 
 
@@ -315,7 +303,7 @@ def load_map(document: str) -> PathGraph:
         ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
     except OverflowError:  # an endpoint past int64: the graph names its pair
         ends = raw_edges
-    return PathGraph._from_arrays(np.column_stack(coords), labels, ends)
+    return PathGraph(np.column_stack(coords), ends, labels)
 
 
 def grid_graph(rows: int, cols: int, spacing: float = 1.0) -> PathGraph:
@@ -326,8 +314,7 @@ def grid_graph(rows: int, cols: int, spacing: float = 1.0) -> PathGraph:
     ids = np.arange(rows * cols).reshape(rows, cols)
     edges = [np.column_stack((ids[:, :-1].ravel(), ids[:, 1:].ravel())),
              np.column_stack((ids[:-1].ravel(), ids[1:].ravel()))]
-    return PathGraph._from_arrays(np.column_stack((c, r)) * float(spacing), [""] * (rows * cols),
-                                  np.concatenate(edges))
+    return PathGraph(np.column_stack((c, r)) * float(spacing), np.concatenate(edges))
 
 
 def degree_sum(g: PathGraph) -> int:

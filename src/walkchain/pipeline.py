@@ -331,36 +331,6 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
     return seq
 
 
-def sequence_log_score(
-    seq: Sequence[int], tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float = 1.0
-) -> float:
-    """Joint log score (up to shared constants) of a state sequence for a trace."""
-    if len(seq) != len(tr):
-        raise ValueError(f"sequence length {len(seq)} != trace length {len(tr)}")
-    if P.n != g.n:
-        raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
-    states = np.asarray(seq, dtype=int)
-    bad = np.flatnonzero((states < 0) | (states >= g.n))
-    if bad.size:
-        raise ValueError(f"fix {bad[0]}: state {states[bad[0]]} outside 0..{g.n - 1}")
-    log_em = _log_emissions(tr.positions(), g.positions()[states], emission_sigma)
-    # P[a, b] of each step, looked up by row-major position a * n + b, in
-    # which order the stored entries already are
-    key = P.rows() * P.n + P.indices
-    step = states[:-1] * P.n + states[1:]
-    at = np.searchsorted(key, step)
-    stored = at < key.size
-    stored[stored] = key[at[stored]] == step[stored]
-    p = np.zeros(step.size)
-    p[stored] = P.data[at[stored]]
-    with np.errstate(divide="ignore"):
-        log_steps = np.log(p)
-    score = float(log_em[0])
-    for k in range(1, len(seq)):
-        score += float(log_steps[k - 1]) + float(log_em[k])
-    return score
-
-
 def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> float:
     """Mean Euclidean distance between estimated and true vertex positions."""
     if len(estimate) != len(tr):
@@ -631,7 +601,7 @@ def _trace_csv_blocks(tr: Trace) -> Iterator[str]:
 
 
 def _truth_id(token: str) -> int:
-    """Vertex id of a truth_vertex field; ValueError unless it is an int64 other than NO_TRUTH."""
+    """The vertex id in a truth_vertex field; ValueError unless an int64 other than NO_TRUTH."""
     v = int(token)
     if not (NO_TRUTH < v <= np.iinfo(np.int64).max):
         raise ValueError(token)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,22 +120,6 @@ def steps_for_distance(profile: WalkingProfile, distance: float) -> int:
     return round(distance / profile.step_length)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    distance: float
-    normal_time: float
-    blind_time: float
-
-    def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError(f"distance must be >= 0, got {self.distance!r}")
-        # a slower pace can never beat a faster one over the same segment
-        if self.distance > 0 and self.blind_time < self.normal_time:
-            raise ValueError(
-                f"blind time {self.blind_time} below normal time {self.normal_time} over {self.distance} m"
-            )
-
-
 class DistanceError(ValueError):
     """A distance that :func:`comparison_table` rejects, with its index in the input as ``row``."""
 
@@ -146,37 +129,21 @@ class DistanceError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ComparisonTable(Sequence[ComparisonRow]):
-    """Normal-vs-blind walking times as three read-only float64 columns.
-
-    Built by :func:`comparison_table`. Indexing and iterating give
-    :class:`ComparisonRow` values, so the table reads like a list of rows.
-    """
+class ComparisonTable:
+    """Normal-vs-blind walking times as three read-only float64 columns, one entry per
+    distance. Built by :func:`comparison_table`."""
 
     distance: np.ndarray
     normal_time: np.ndarray
     blind_time: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.distance)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return list(self)[k]
-        return ComparisonRow(float(self.distance[k]), float(self.normal_time[k]),
-                             float(self.blind_time[k]))
-
-    def __iter__(self) -> Iterator[ComparisonRow]:
-        return map(ComparisonRow, self.distance.tolist(), self.normal_time.tolist(),
-                   self.blind_time.tolist())
 
 
 def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> ComparisonTable:
     """Normal-vs-blind walking times over the given segment lengths.
 
     Each time is the one :func:`travel_time` gives, bit for bit. A distance
-    that :func:`travel_time` or :class:`ComparisonRow` would reject raises
-    their message as a :class:`DistanceError` naming the first such row.
+    that :func:`travel_time` rejects raises its message as a
+    :class:`DistanceError` naming the first such row.
     """
     _check_mode(mode)
     d = np.array(distances, dtype=np.float64)
@@ -196,20 +163,18 @@ def comparison_table(distances: Sequence[float], mode: str = MODE_EXACT) -> Comp
 
 
 def _raise_first_bad_row(d: np.ndarray, mode: str) -> None:
-    """Raise, as a DistanceError, what the row-by-row checks raise for the first row they reject."""
+    """Raise, as a DistanceError, what :func:`travel_time` raises for the first row it rejects."""
     for k, v in enumerate(d.tolist()):
         try:
-            ComparisonRow(v, travel_time(NORMAL, v, mode), travel_time(BLIND, v, mode))
+            travel_time(NORMAL, v, mode)
+            travel_time(BLIND, v, mode)
         except ValueError as exc:
             raise DistanceError(k, str(exc)) from None
 
 
-def table_to_csv(rows: Sequence[ComparisonRow]) -> str:
+def table_to_csv(rows: ComparisonTable) -> str:
     """The table as CSV, each value written as its ``repr``."""
-    if isinstance(rows, ComparisonTable):
-        cells = zip(rows.distance.tolist(), rows.normal_time.tolist(), rows.blind_time.tolist())
-    else:
-        cells = map(attrgetter("distance", "normal_time", "blind_time"), rows)
+    cells = zip(rows.distance.tolist(), rows.normal_time.tolist(), rows.blind_time.tolist())
     lines = ["distance_m,normal_time_s,blind_time_s"]
     lines += [f"{d!r},{n!r},{b!r}" for d, n, b in cells]
     return "\n".join(lines) + "\n"

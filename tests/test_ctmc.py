@@ -126,6 +126,20 @@ class TestPoisson:
         with pytest.raises(ValueError):
             poisson_truncation(1.0, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("rate, t, message", [
+        (math.inf, 1.0, "rate must be finite and > 0, got inf"),
+        (-10.0, 1.0, "rate must be finite and > 0, got -10.0"),
+        (math.nan, 1.0, "rate must be finite and > 0, got nan"),
+        (1.0, -10.0, "time must be finite and >= 0, got -10.0"),
+        (1.0, math.nan, "time must be finite and >= 0, got nan"),
+        (1e300, 1e300, "rate * time = inf is not finite"),
+    ])
+    def test_bad_rate_or_time_named(self, rate, t, message):
+        # each used to fail inside rate * t, or with an error other than ValueError
+        with pytest.raises(ValueError) as caught:
+            poisson_truncation(rate, t, 1e-9)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("mu, n, exact", [
         # exp(-mu) mu^n / n! to 20 digits (40-digit arithmetic)
         (37.5, 30, 0.032451508190749541621),

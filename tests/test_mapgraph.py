@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from walkchain import (
     MapSchemaError,
     MapValidationError,
     PathGraph,
-    Vertex,
     degree_sum,
     grid_graph,
     load_map,
@@ -34,8 +34,7 @@ def _simple_graphs(draw, max_n: int = 9) -> PathGraph:
     n = draw(st.integers(1, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
     edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
-    vertices = tuple(Vertex(k, LocalPoint(float(k), 0.0)) for k in range(n))
-    return PathGraph(vertices=vertices, edges=tuple(edges))
+    return PathGraph([(float(k % 5), float(k // 5)) for k in range(n)], tuple(edges))
 
 
 class TestPoints:
@@ -77,28 +76,25 @@ class TestProjection:
 
 class TestPathGraph:
     def test_rejects_non_dense_ids(self):
-        vs = (Vertex(0, LocalPoint(0, 0)), Vertex(2, LocalPoint(1, 0)))
-        with pytest.raises(MapValidationError):
-            PathGraph(vertices=vs, edges=((0, 2),))
+        # ids exist only in a map document; the graph numbers its positions 0..n-1
+        doc = {"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}], "edges": [[0, 2]]}
+        with pytest.raises(MapValidationError, match=r"dense integers 0\.\.1 in order, got \[0, 2\]"):
+            load_map(json.dumps(doc))
 
     def test_rejects_self_loop(self):
-        vs = (Vertex(0, LocalPoint(0, 0)), Vertex(1, LocalPoint(1, 0)))
         with pytest.raises(MapValidationError):
-            PathGraph(vertices=vs, edges=((0, 0),))
+            PathGraph([(0, 0), (1, 0)], ((0, 0),))
 
     def test_rejects_duplicate_edge_in_either_orientation(self):
-        vs = (Vertex(0, LocalPoint(0, 0)), Vertex(1, LocalPoint(1, 0)))
         with pytest.raises(MapValidationError):
-            PathGraph(vertices=vs, edges=((0, 1), (1, 0)))
+            PathGraph([(0, 0), (1, 0)], ((0, 1), (1, 0)))
 
     def test_rejects_dangling_endpoint(self):
-        vs = (Vertex(0, LocalPoint(0, 0)), Vertex(1, LocalPoint(1, 0)))
         with pytest.raises(MapValidationError):
-            PathGraph(vertices=vs, edges=((0, 5),))
+            PathGraph([(0, 0), (1, 0)], ((0, 5),))
 
     def test_edges_are_canonicalized(self):
-        vs = tuple(Vertex(i, LocalPoint(float(i), 0.0)) for i in range(3))
-        g = PathGraph(vertices=vs, edges=((2, 1), (1, 0)))
+        g = PathGraph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], ((2, 1), (1, 0)))
         assert g.edges == ((0, 1), (1, 2))
 
     def test_neighbors_sorted(self):
@@ -128,7 +124,7 @@ class TestPathGraph:
         pos = g.positions()
         assert pos is g.positions()
         assert pos.shape == (g.n, 2) and pos.dtype == np.float64
-        assert pos.tolist() == [[v.position.x, v.position.y] for v in g.vertices]
+        assert pos.tolist() == [[float(k % 5), float(k // 5)] for k in range(g.n)]
         with pytest.raises(ValueError, match="read-only"):
             pos[0, 0] = 1.0
 
@@ -147,7 +143,7 @@ class TestGridGraph:
         assert degs[0] == 2  # corner
         assert degs[1] == 3  # edge interior
         assert degs[5] == 4  # interior
-        assert g.vertices[5].position == LocalPoint(2.0, 2.0)
+        assert g.positions()[5].tolist() == [2.0, 2.0]
 
     def test_rejects_degenerate_dimensions(self):
         with pytest.raises(ValueError):
@@ -176,9 +172,9 @@ class TestLoadMap:
         g = load_map(doc)
         assert g.n == 3
         assert tuple(g.degrees()) == (1, 2, 1)
-        assert g.vertices[0].label == "gate"
-        assert g.vertices[0].position == LocalPoint(0.0, 0.0)
-        assert g.vertices[1].position.y == pytest.approx(111.195, abs=1e-3)
+        assert g.labels() == ("gate", "", "")
+        assert g.positions()[0].tolist() == [0.0, 0.0]
+        assert g.positions()[1, 1] == pytest.approx(111.195, abs=1e-3)
 
     def test_origin_defaults_to_first_vertex(self):
         doc = _doc(
@@ -191,7 +187,7 @@ class TestLoadMap:
             },
         )
         g = load_map(doc)
-        assert g.vertices[0].position == LocalPoint(0.0, 0.0)
+        assert g.positions()[0].tolist() == [0.0, 0.0]
 
     def test_local_map_needs_no_origin(self):
         doc = _doc(
@@ -204,7 +200,7 @@ class TestLoadMap:
             },
         )
         g = load_map(doc)
-        assert g.vertices[1].position == LocalPoint(3.0, 4.0)
+        assert g.positions()[1].tolist() == [3.0, 4.0]
 
     def test_mixed_coordinate_styles_rejected(self):
         doc = _doc(
@@ -238,6 +234,17 @@ class TestLoadMap:
             with pytest.raises(MapSchemaError, match=field + ": number out of range"):
                 load_map(_doc({"vertices": [vertex], "edges": []}))
 
+    @pytest.mark.parametrize("lat, lon, message", [
+        (91.0, 0.0, "vertices[1]: latitude 91.0 outside [-90, 90]"),
+        (0.0, -181.0, "vertices[1]: longitude -181.0 outside [-180, 180]"),
+        (-90.0000001, 0.0, "vertices[1]: latitude -90.0000001 outside [-90, 90]"),
+    ])
+    def test_vertex_outside_lat_lon_range_named(self, lat, lon, message):
+        doc = {"vertices": [{"id": 0, "lat": 0.0, "lon": 0.0}, {"id": 1, "lat": lat, "lon": lon}],
+               "edges": [[0, 1]]}
+        with pytest.raises(MapSchemaError, match=f"^{re.escape(message)}$"):
+            load_map(_doc(doc))
+
     def test_edge_to_unknown_vertex_rejected(self):
         doc = _doc(
             {
@@ -267,22 +274,19 @@ class TestLoadMap:
 
 class TestRandomWalkMatrix:
     def test_triangle_is_uniform_over_neighbors(self):
-        vs = tuple(Vertex(i, LocalPoint(float(i), float(i * i))) for i in range(3))
-        g = PathGraph(vertices=vs, edges=((0, 1), (0, 2), (1, 2)))
+        g = PathGraph([(float(i), float(i * i)) for i in range(3)], ((0, 1), (0, 2), (1, 2)))
         P = random_walk_matrix(g)
         expected = (np.ones((3, 3)) - np.eye(3)) / 2.0
         assert np.array_equal(P.entries, expected)
 
     def test_star_hub_spreads_evenly(self):
-        vs = tuple(Vertex(i, LocalPoint(float(i), 0.0)) for i in range(4))
-        g = PathGraph(vertices=vs, edges=((0, 1), (0, 2), (0, 3)))
+        g = PathGraph([(float(i), 0.0) for i in range(4)], ((0, 1), (0, 2), (0, 3)))
         P = random_walk_matrix(g)
         assert np.array_equal(P.entries[0], np.array([0.0, 1 / 3, 1 / 3, 1 / 3]))
         assert np.array_equal(P.entries[1], np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_isolated_vertex_rejected(self):
-        vs = (Vertex(0, LocalPoint(0, 0)), Vertex(1, LocalPoint(1, 0)), Vertex(2, LocalPoint(2, 0)))
-        g = PathGraph(vertices=vs, edges=((0, 1),))
+        g = PathGraph([(0, 0), (1, 0), (2, 0)], ((0, 1),))
         with pytest.raises(MapValidationError):
             random_walk_matrix(g)
 

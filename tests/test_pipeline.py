@@ -39,7 +39,6 @@ from walkchain import (
     StochasticMatrix,
     Trace,
     TrellisError,
-    Vertex,
     WalkingProfile,
     WebhookSink,
     add_noise,
@@ -52,24 +51,17 @@ from walkchain import (
     obstacles_from_json,
     random_walk_matrix,
     sample_path,
-    sequence_log_score,
     simulate_walk,
     smooth,
     snap,
     trace_from_csv,
     trace_to_csv,
 )
-from conftest import connected_graphs
+from conftest import connected_graphs, sequence_log_score
 
 
 def star4() -> PathGraph:
-    vs = (
-        Vertex(0, LocalPoint(0.0, 0.0)),
-        Vertex(1, LocalPoint(1.0, 0.0)),
-        Vertex(2, LocalPoint(0.0, 1.0)),
-        Vertex(3, LocalPoint(-1.0, 0.0)),
-    )
-    return PathGraph(vertices=vs, edges=((0, 1), (0, 2), (0, 3)))
+    return PathGraph([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)], ((0, 1), (0, 2), (0, 3)))
 
 
 class TestDataTypes:
@@ -258,8 +250,7 @@ class TestSnap:
         assert snap(tr, g) == tr.truth.tolist()
 
     def test_tie_goes_to_lowest_id(self):
-        vs = (Vertex(0, LocalPoint(0.0, 0.0)), Vertex(1, LocalPoint(2.0, 0.0)))
-        g = PathGraph(vertices=vs, edges=((0, 1),))
+        g = PathGraph([(0.0, 0.0), (2.0, 0.0)], ((0, 1),))
         tr = Trace(t=[0.0], xy=[[1.0, 0.0]])
         assert snap(tr, g) == [0]
 
@@ -317,8 +308,7 @@ class TestSmooth:
             assert got == pytest.approx(best, abs=1e-9)
 
     def test_first_stage_tie_goes_to_lowest_id(self):
-        vs = (Vertex(0, LocalPoint(0.0, 0.0)), Vertex(1, LocalPoint(2.0, 0.0)))
-        g = PathGraph(vertices=vs, edges=((0, 1),))
+        g = PathGraph([(0.0, 0.0), (2.0, 0.0)], ((0, 1),))
         P = random_walk_matrix(g)
         tr = Trace(t=[0.0], xy=[[1.0, 0.0]])
         assert smooth(tr, g, P) == [0]
@@ -922,7 +912,7 @@ def _fix_simulate_walk(g, P, profile, start, n_steps, seed):
     dx, dy = (pos[path[1:]] - pos[path[:-1]]).T
     dt = np.where(path[1:] == path[:-1], profile.step_period, np.hypot(dx, dy) / profile.speed)
     times = [0.0] + np.cumsum(dt).tolist()
-    return _fix_trace(_Fix(t=t, position=g.vertices[v].position, truth_state=v)
+    return _fix_trace(_Fix(t=t, position=LocalPoint(*pos[v].tolist()), truth_state=v)
                       for t, v in zip(times, path.tolist()))
 
 
@@ -970,21 +960,20 @@ def _columns_of(fixes) -> tuple[list, list, list]:
 def _loop_simulate_walk(g, P, profile, start, n_steps, seed):
     path = _searchsorted_sample_path(P, start, n_steps, seed).tolist()
     pos = g.positions()
-    fixes = [_Fix(t=0.0, position=g.vertices[start].position, truth_state=start)]
+    fixes = [_Fix(t=0.0, position=LocalPoint(*pos[start].tolist()), truth_state=start)]
     t = 0.0
     for state, nxt in zip(path, path[1:]):
         if nxt == state:
             t += profile.step_period
         else:
             t += float(np.hypot(*(pos[nxt] - pos[state]))) / profile.speed
-        fixes.append(_Fix(t=t, position=g.vertices[nxt].position, truth_state=nxt))
+        fixes.append(_Fix(t=t, position=LocalPoint(*pos[nxt].tolist()), truth_state=nxt))
     return _fix_trace(fixes)
 
 
 def _points_graph(n: int) -> PathGraph:
     """n vertices laid out like connected_graphs, without edges."""
-    return PathGraph(vertices=tuple(Vertex(k, LocalPoint(float(k % 5), float(k // 5)))
-                                    for k in range(n)), edges=())
+    return PathGraph([(float(k % 5), float(k // 5)) for k in range(n)], ())
 
 
 @st.composite
@@ -1042,8 +1031,7 @@ class TestDistances:
     @settings(max_examples=200)
     def test_bits_match_the_stacked_difference_sum(self, fixes, points, sigma):
         tr = Trace(t=np.arange(len(fixes), dtype=float), xy=fixes)
-        g = PathGraph(vertices=tuple(Vertex(k, LocalPoint(x, y)) for k, (x, y) in enumerate(points)),
-                      edges=())
+        g = PathGraph(points, ())
         obs, pos = tr.positions(), g.positions()
         with np.errstate(over="ignore"):
             d2 = ((obs[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)

@@ -15,7 +15,6 @@ from walkchain import (
     MODE_PAPER_ROUNDED,
     NORMAL,
     SURVEY_DISTANCES_M,
-    ComparisonRow,
     ComparisonTable,
     DistanceError,
     WalkingProfile,
@@ -121,16 +120,12 @@ class TestSteps:
 class TestComparisonTable:
     def test_row_ordering_follows_input(self):
         rows = comparison_table([5.0, 1.0, 3.0])
-        assert [r.distance for r in rows] == [5.0, 1.0, 3.0]
-
-    def test_row_rejects_inverted_times(self):
-        with pytest.raises(ValueError):
-            ComparisonRow(distance=10.0, normal_time=40.0, blind_time=20.0)
+        assert rows.distance.tolist() == [5.0, 1.0, 3.0]
 
     def test_survey_table_shape(self):
         rows = comparison_table(SURVEY_DISTANCES_M, MODE_PAPER_ROUNDED)
-        assert len(rows) == 29
-        assert rows[0].distance == 0.0 and rows[0].blind_time == 0.0
+        assert rows.distance.size == rows.normal_time.size == rows.blind_time.size == 29
+        assert rows.distance[0] == 0.0 and rows.blind_time[0] == 0.0
 
     def test_csv_layout(self):
         text = table_to_csv(comparison_table([5.8]))
@@ -145,12 +140,12 @@ class TestComparisonTable:
 class TestColumnarTable:
     def test_columns_and_rows(self):
         rows = comparison_table([5.8, 0.0, 11.6])
-        assert isinstance(rows, ComparisonTable) and len(rows) == 3
-        assert rows.distance.dtype == np.float64 and rows.distance.tolist() == [5.8, 0.0, 11.6]
-        assert rows[0] == ComparisonRow(5.8, travel_time(NORMAL, 5.8), travel_time(BLIND, 5.8))
-        assert rows[-1].distance == 11.6
-        assert list(rows) == [rows[k] for k in range(3)] == rows[:]
-        assert rows.blind_time.tolist() == [r.blind_time for r in rows]
+        assert isinstance(rows, ComparisonTable)
+        for column in (rows.distance, rows.normal_time, rows.blind_time):
+            assert column.dtype == np.float64 and column.shape == (3,)
+        assert rows.distance.tolist() == [5.8, 0.0, 11.6]
+        assert rows.normal_time.tolist() == [travel_time(NORMAL, d) for d in (5.8, 0.0, 11.6)]
+        assert rows.blind_time.tolist() == [travel_time(BLIND, d) for d in (5.8, 0.0, 11.6)]
 
     def test_columns_are_read_only(self):
         rows = comparison_table([1.0, 2.0])
@@ -183,9 +178,10 @@ class TestColumnarTable:
 
     def test_csv_of_rows_or_table(self):
         rows = comparison_table([5.8, 0.1, -0.0])
-        assert table_to_csv(rows) == table_to_csv(list(rows))
-        assert table_to_csv(rows).splitlines()[3] == "-0.0,-0.0,-0.0"
-        assert table_to_csv([ComparisonRow(5, 10, 27)]).splitlines()[1] == "5,10,27"
+        lines = table_to_csv(rows).splitlines()
+        assert lines[1:] == [f"{d!r},{travel_time(NORMAL, d)!r},{travel_time(BLIND, d)!r}"
+                             for d in (5.8, 0.1, -0.0)]
+        assert lines[3] == "-0.0,-0.0,-0.0"
 
 
 class TestLoadProfile:
