@@ -23,7 +23,7 @@ MIXING_EPS = 0.25
 MIXING_TIME_CAP = 10_000
 #: largest relative gap allowed between the all-pairs and the direct hitting-time solve
 HITTING_CHECK_RTOL = 1e-9
-#: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``mixing_rate`` takes P as reversible
+#: largest |S - S^T|, S = D_pi^1/2 P D_pi^-1/2, at which ``analyze`` takes P as reversible
 REVERSIBLE_TOL = 1e-10
 #: fewest states at which a reversible chain's rate and mixing time come from one ``eigh`` of S;
 #: below it ``eigvalsh`` and the search over powers of P take less time (crossover ~116 states
@@ -360,8 +360,13 @@ def stationary_distribution(P: StochasticMatrix,
     return Distribution(pi / pi.sum())
 
 
-def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) -> float:
-    """Second-largest eigenvalue modulus; the asymptotic per-step contraction.
+def mixing_rate(P: StochasticMatrix) -> float:
+    """Second-largest eigenvalue modulus of P's general ``eigvals``: the per-step contraction."""
+    return _rate(P, None, None)
+
+
+def _rate(P: StochasticMatrix, pi: Distribution | None, spectrum: _Spectrum | None) -> float:
+    """``mixing_rate`` from ``spectrum`` when there is one, else from its own eigenvalue solve.
 
     Given a stationary law pi with every entry positive, S = D_pi^1/2 P
     D_pi^-1/2 is similar to P, and symmetric exactly when P is reversible
@@ -371,14 +376,9 @@ def mixing_rate(P: StochasticMatrix, *, stationary: Distribution | None = None) 
     Times*, section 12.1); it then lies within about n * REVERSIBLE_TOL of P's
     (Bauer-Fike). That solver is ``eigvalsh`` below SPECTRAL_MIN_N states and
     ``eigh`` from there on, whose eigenvectors ``analyze`` reuses for the
-    mixing time. Otherwise, and without ``stationary``, the spectrum comes
-    from the general ``eigvals`` of P.
+    mixing time. Otherwise, and without ``pi``, the spectrum comes from the
+    general ``eigvals`` of P.
     """
-    return _rate(P, stationary, None if stationary is None else _spectrum(P, stationary))
-
-
-def _rate(P: StochasticMatrix, pi: Distribution | None, spectrum: _Spectrum | None) -> float:
-    """``mixing_rate`` from ``spectrum`` when there is one, else from its own eigenvalue solve."""
     if P.n == 1:
         return 0.0
     if spectrum is not None:
@@ -392,8 +392,6 @@ def _rate(P: StochasticMatrix, pi: Distribution | None, spectrum: _Spectrum | No
 def _symmetrized(P: StochasticMatrix, pi: Distribution) -> tuple[np.ndarray, float] | None:
     """S = D_pi^1/2 P D_pi^-1/2 and the largest row sum of |S - S^T|, when pi > 0 and
     max |S - S^T| <= REVERSIBLE_TOL; else None."""
-    if pi.n != P.n:
-        raise ValueError(f"distribution has {pi.n} states but matrix has {P.n}")
     root = np.sqrt(pi.probs)
     if not np.all(root > 0):
         return None
@@ -437,23 +435,21 @@ def _spectrum(P: StochasticMatrix, pi: Distribution) -> _Spectrum | None:
     return _Spectrum(lam[order], U[:, order], pi.probs, np.sqrt(pi.probs), asym)
 
 
-def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS, cap: int = MIXING_TIME_CAP, *,
-                stationary: Distribution | None = None, period: int | None = None) -> int | None:
+def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
+                cap: int = MIXING_TIME_CAP) -> int | None:
     """Smallest t in 1..cap with d(t) = max_i TV(row i of P**t, stationary) <= eps.
 
     None when d(cap) > eps, which is certain for a periodic chain and eps < 1/2.
 
-    Requires irreducibility (via stationary_distribution). A caller that
-    already has both the stationary law and the period of the single class
-    passes them as ``stationary`` and ``period``; otherwise both are computed
-    from one class computation. The periodic case returns at once: every row
-    of P**t sits on one cyclic class, so d(t) >= 1 - 1/period >= 1/2.
+    Requires irreducibility; pi and the period come from one class computation.
+    A periodic chain returns at once: every row of P**t sits on one cyclic
+    class, so d(t) >= 1 - 1/period >= 1/2.
 
     Every search uses that d(t) never increases, and neither does the TV
     distance of any one row (Levin, Peres & Wilmer, *Markov Chains and Mixing
     Times*, section 4.4).
 
-    A reversible chain (see ``mixing_rate``) with at least SPECTRAL_MIN_N
+    A reversible chain (see ``_rate``) with at least SPECTRAL_MIN_N
     states is searched in the spectrum of S = D_pi^1/2 P D_pi^-1/2, from one
     ``eigh``: row i of P**t is then one row-by-matrix product (Lemma 12.2),
     with |lambda|**t below SPECTRAL_FLUSH taken as 0. The largest TV
@@ -481,11 +477,9 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS, cap: int = MIXING_
         raise ValueError(f"cap must be an integer, got {cap!r}")
     if math.isnan(eps):
         raise ValueError(f"eps must be a number, got {eps!r}")
-    if stationary is None or period is None:
-        classes, _, periods = _class_structure(P)
-        stationary = stationary_distribution(P, classes)
-        period = periods[0]
-    if cap < 1 or (period > 1 and eps < 0.5):
+    classes, _, periods = _class_structure(P)
+    stationary = stationary_distribution(P, classes)
+    if cap < 1 or (periods[0] > 1 and eps < 0.5):
         return None
     return _mixing_time(P, eps, cap, stationary, _spectrum(P, stationary))
 
@@ -692,19 +686,17 @@ def hitting_time(P: StochasticMatrix, u: int, v: int) -> float:
     return float(h[idx[u]])
 
 
-def hitting_times(P: StochasticMatrix, pi: Distribution) -> np.ndarray:
-    """All mean first-passage times H[u, v] of an irreducible chain with stationary law pi.
+def hitting_times(P: StochasticMatrix) -> np.ndarray:
+    """All mean first-passage times H[u, v] of an irreducible chain; a reducible one raises.
 
-    Uses the fundamental matrix Z = (I - P + 1 pi^T)^-1 and
-    H[u, v] = (Z[v, v] - Z[u, v]) / pi[v] (Kemeny & Snell, *Finite Markov
-    Chains*, 1960): one n x n inverse in place of n^2 linear solves. The
-    diagonal is exactly 0. As a conditioning check, the largest entry is
-    solved again directly by :func:`hitting_time`; a relative disagreement
-    above HITTING_CHECK_RTOL raises ValueError.
+    Uses pi from :func:`stationary_distribution`, the fundamental matrix
+    Z = (I - P + 1 pi^T)^-1 and H[u, v] = (Z[v, v] - Z[u, v]) / pi[v] (Kemeny
+    & Snell, *Finite Markov Chains*, 1960): one n x n inverse in place of n^2
+    linear solves. The diagonal is exactly 0. As a conditioning check, the
+    largest entry is solved again directly by :func:`hitting_time`; a
+    relative disagreement above HITTING_CHECK_RTOL raises ValueError.
     """
-    if pi.n != P.n:
-        raise ValueError(f"distribution has {pi.n} states but matrix has {P.n}")
-    p = pi.probs
+    p = stationary_distribution(P).probs
     Z = np.linalg.inv(np.eye(P.n) - P.entries + p[None, :])
     H = (np.diag(Z)[None, :] - Z) / p[None, :]
     np.fill_diagonal(H, 0.0)

@@ -70,7 +70,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     P = mapgraph.random_walk_matrix(g)
     try:  # before any artifact is written
         report = chains.analyze(P)
-        H = chains.hitting_times(P, report.stationary) if report.irreducible and g.n <= 50 else None
+        H = chains.hitting_times(P) if report.irreducible and g.n <= 50 else None
     except MemoryError:
         raise _too_dense(args, g.n) from None
     out = Path(args.out_dir)

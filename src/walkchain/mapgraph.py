@@ -74,7 +74,8 @@ class PathGraph:
 
     def __init__(self, positions, edges, labels=None):
         """Graph of ``positions``, an (n, 2) array of finite floats, ``edges``, an (m, 2)
-        int array or m pairs of vertex ids, and ``labels``, n strings ("" each when None).
+        integer array or m pairs of integer vertex ids (bools are not), and ``labels``,
+        n strings ("" each when None).
 
         Every edge is checked at once; when one fails, ``edges`` is checked again
         pair by pair, so the error names the first bad one.
@@ -96,6 +97,13 @@ class PathGraph:
         elif not (isinstance(labels, (list, tuple)) and len(labels) == n
                   and all(isinstance(s, str) for s in labels)):
             raise MapValidationError(f"labels must be a list or tuple of n = {n} strings")
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.ndim == 2
+                and edges.shape[1] == 2):
+            edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+            for e in edges:
+                if not (isinstance(e, (tuple, list)) and len(e) == 2 and all(
+                        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in e)):
+                    raise MapValidationError(f"edge {e!r} is not a pair of integer vertex ids")
         try:
             a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         except OverflowError:  # an endpoint past int64 names no vertex
@@ -308,8 +316,12 @@ def load_map(document: str) -> PathGraph:
 
 def grid_graph(rows: int, cols: int, spacing: float = 1.0) -> PathGraph:
     """Rectangular lattice with unit-id vertices, for synthetic experiments."""
-    if rows < 1 or cols < 1 or not (spacing > 0):
-        raise ValueError("rows and cols must be >= 1 and spacing > 0")
+    for name, k in (("rows", rows), ("cols", cols)):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
+    if not (isinstance(spacing, (int, float, np.integer, np.floating)) and math.isfinite(spacing)
+            and spacing > 0):
+        raise ValueError(f"spacing must be finite and > 0, got {spacing!r}")
     r, c = np.divmod(np.arange(rows * cols), cols)
     ids = np.arange(rows * cols).reshape(rows, cols)
     edges = [np.column_stack((ids[:, :-1].ravel(), ids[:, 1:].ravel())),

@@ -343,8 +343,19 @@ def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> floa
         k = int(bad[0])
         raise FixError(f"truth_vertex {truth_states[k]} outside 0..{g.n - 1} at fix {k}", k,
                        "truth_vertex")
+    ids = np.asarray(estimate)
+    if ids.dtype.kind in "iu":
+        bad = np.flatnonzero((ids < 0) | (ids >= g.n)).tolist()
+    else:  # floats, bools or objects: each id is checked as given
+        ids = ids.tolist() if isinstance(estimate, np.ndarray) else list(estimate)
+        bad = [k for k, s in enumerate(ids) if isinstance(s, bool)
+               or not isinstance(s, (int, np.integer)) or not 0 <= s < g.n]
+    if bad:
+        k = bad[0]
+        value = ids[k].item() if isinstance(ids, np.ndarray) else ids[k]
+        raise ValueError(f"estimate vertex {value!r} at fix {k} is not an integer in 0..{g.n - 1}")
     pos = g.positions()
-    est = pos[np.asarray(estimate, dtype=int)]
+    est = pos[np.asarray(ids, dtype=int)]
     truth = pos[truth_states]
     return float(np.hypot(*(est - truth).T).mean())
 

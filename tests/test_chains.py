@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from walkchain import (
     hitting_time,
     hitting_times,
     hold_on_obstacle,
+    load_map,
     matrix_to_csv,
     mixing_rate,
     mixing_time,
@@ -324,7 +327,7 @@ class TestSymmetricMixingRate:
         P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
         pi = stationary_distribution(P)
         assert chains._symmetrized(P, pi) is not None  # the symmetric route is the one taken
-        got = mixing_rate(P, stationary=pi)
+        got = chains._rate(P, pi, chains._spectrum(P, pi))
         d = np.sqrt(W.sum(axis=1))
         slem = np.sort(np.abs(np.linalg.eigvalsh(W / np.outer(d, d))))[-2]
         assert abs(got - mixing_rate(P)) <= 1e-12
@@ -335,14 +338,7 @@ class TestSymmetricMixingRate:
     def test_non_reversible_chain_takes_eigvals(self, P):
         pi = analyze(P).stationary
         assert chains._symmetrized(P, pi) is None
-        assert mixing_rate(P, stationary=pi) == mixing_rate(P)
-
-    def test_walk_on_grid_and_mismatched_law(self):
-        P = random_walk_matrix(grid_graph(4, 5))
-        a = analyze(P)  # bipartite: -1 is an eigenvalue
-        assert abs(a.mixing_rate - 1.0) <= 1e-12
-        with pytest.raises(ValueError, match="distribution has 2 states but matrix has 20"):
-            mixing_rate(P, stationary=Distribution(np.array([0.5, 0.5])))
+        assert chains._rate(P, pi, chains._spectrum(P, pi)) == mixing_rate(P)
 
 
 def _cyclic_blocks(sizes) -> StochasticMatrix:
@@ -385,7 +381,7 @@ class TestPeriodicMixingRate:
     def test_aperiodic_chain_keeps_its_spectrum(self, P):
         a = analyze(P)
         assert a.periods == (1,)
-        assert a.mixing_rate == mixing_rate(P, stationary=a.stationary)
+        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P, a.stationary))
 
 
 class TestPassageTimes:
@@ -553,7 +549,7 @@ class TestReferenceOracles:
     @settings(max_examples=150)
     def test_all_pairs_hitting_times_match_pairwise_solves(self, P):
         assume(_irreducible(P))
-        H = hitting_times(P, stationary_distribution(P))
+        H = hitting_times(P)
         assert np.array_equal(np.diag(H), np.zeros(P.n))
         for u in range(P.n):
             for v in range(P.n):
@@ -565,7 +561,7 @@ class TestReferenceOracles:
         monkeypatch.setattr(chains, "hitting_time",
                             lambda P, u, v: exact(P, u, v) * (1.0 + 1e-6))
         with pytest.raises(ValueError, match="ill-conditioned"):
-            hitting_times(P, stationary_distribution(P))
+            hitting_times(P)
 
     @given(stochastic_matrices(max_n=7))
     @example(_sm([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))  # 2 lies only past 1
@@ -719,8 +715,8 @@ class TestMixingLevels:
         t_mix = a.mixing_time
         for eps in (0.05, 0.1, 0.25, 0.4):
             for cap in sorted({1, 2, 3, 7, 8, 64, t_mix - 1, t_mix, t_mix + 1, 10_000}):
-                assert (mixing_time(P, eps, cap, **known)
-                        == _parent_mixing_time(P, eps, cap, **known)), (eps, cap)
+                want = _parent_mixing_time(P, eps, cap, **known)
+                assert mixing_time(P, eps, cap) == want, (eps, cap)
 
     @pytest.mark.parametrize("hold", [0.7, 0.9, 0.97, 0.99, 0.995, 0.999, 0.9995])
     def test_products_follow_the_level_stride(self, hold, monkeypatch):
@@ -729,7 +725,8 @@ class TestMixingLevels:
         P = _sm([[1.0 - a, a], [a, 1.0 - a]])
         known = {"stationary": Distribution(np.array([0.5, 0.5])), "period": 1}
         products = _count_products(monkeypatch)
-        t_mix = mixing_time(P, **known)
+        t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP,
+                                    known["stationary"], None)
         k = (t_mix - 1).bit_length() - 1  # the lifting ends at t_mix - 1 in [2**k, 2**(k + 1))
         assert len(products) == _level_bound(k)
         assert products == [((2, 2), (2, 2))] * len(products)
@@ -745,9 +742,8 @@ class TestMixingLevels:
 
     def test_products_on_a_grid(self, monkeypatch):
         P = _triangulated_grid(10, 10)
-        a = analyze(P)
         products = _count_products(monkeypatch)
-        t_mix = mixing_time(P, stationary=a.stationary, period=1)
+        t_mix = mixing_time(P)
         k = (t_mix - 1).bit_length() - 1
         assert k >= 3 and len(products) == _level_bound(k)
         assert products == [((P.n, P.n), (P.n, P.n))] * len(products)
@@ -757,7 +753,8 @@ class TestMixingLevels:
         a = analyze(P)  # builds P.entries before the trace starts
         tracemalloc.start()
         try:
-            t_mix = mixing_time(P, stationary=a.stationary, period=1)
+            t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP, a.stationary,
+                                        chains._spectrum(P, a.stationary))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -854,9 +851,7 @@ class TestClassStructureFromTarjan:
     def test_mixing_time_fallback_uses_the_same_period(self, P):
         # most drawn digraphs are reducible: filtering them out failed hypothesis' health check
         P = _largest_closed_class(P)
-        a = analyze(P)
-        assert mixing_time(P) == mixing_time(P, stationary=a.stationary, period=a.periods[0])
-        assert a.mixing_time == mixing_time(P)
+        assert analyze(P).mixing_time == mixing_time(P)
 
     def test_depths_off_the_bfs_levels(self):
         # DFS from 0 reaches 2 by 0 -> 1 -> 2 (depth 2) although 0 -> 2 is an edge:
@@ -1040,7 +1035,7 @@ class TestSpectralMixing:
         t_mix = _parent_mixing_time(P, eps, 10_000, **known)
         caps = {1, 10_000} | ({t_mix - 1, t_mix, t_mix + 1} - {0} if t_mix else set())
         for cap in sorted(caps):
-            assert mixing_time(P, eps, cap, **known) == _parent_mixing_time(P, eps, cap, **known)
+            assert mixing_time(P, eps, cap) == _parent_mixing_time(P, eps, cap, **known)
 
     def test_one_eigh_per_analyze_and_no_product_of_powers(self, monkeypatch):
         P = _triangulated_grid(18, 18)
@@ -1058,7 +1053,7 @@ class TestSpectralMixing:
     def test_rate_is_the_same_from_analyze_and_mixing_rate(self):
         P = _triangulated_grid(18, 18)
         a = analyze(P)
-        assert a.mixing_rate == mixing_rate(P, stationary=a.stationary)
+        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P, a.stationary))
         S = chains._symmetrized(P, a.stationary)[0]
         assert abs(a.mixing_rate - np.sort(np.abs(np.linalg.eigvalsh(S)))[-2]) <= 1e-14
 
@@ -1072,10 +1067,9 @@ class TestSpectralMixing:
     def test_a_decision_within_the_band_runs_the_parent_search(self, monkeypatch):
         P = _triangulated_grid(12, 12)
         a = analyze(P)
-        known = {"stationary": a.stationary, "period": 1}
         monkeypatch.setattr(chains, "_guard_band", lambda sp, t: 1.0)
         products = _count_products(monkeypatch)
-        t_mix = mixing_time(P, **known)
+        t_mix = mixing_time(P)
         k = (t_mix - 1).bit_length() - 1
         assert t_mix == a.mixing_time and len(products) == _level_bound(k)
         assert products == [((P.n, P.n), (P.n, P.n))] * len(products)
@@ -1090,14 +1084,14 @@ class TestSpectralMixing:
         for t in (20, 40, 60, 80, 81, 82, 120):
             d = float(chains._row_distances(sp, np.arange(P.n), [t]).max())
             for eps in (math.nextafter(d, 0), d, math.nextafter(d, 1), d - 1e-15, d + 1e-15):
-                assert mixing_time(P, eps, **known) == _parent_mixing_time(P, eps, **known)
+                assert mixing_time(P, eps) == _parent_mixing_time(P, eps, **known)
 
     def test_caps_and_eps_of_other_types_give_the_parent_answer(self):
         P = _triangulated_grid(12, 12)
         a = analyze(P)
         known = {"stationary": a.stationary, "period": 1}
         for eps, cap in ((0.25, np.int64(60)), (0.25, np.int64(500)), (np.float64(0.25), 500)):
-            assert mixing_time(P, eps, cap, **known) == _parent_mixing_time(P, eps, cap, **known)
+            assert mixing_time(P, eps, cap) == _parent_mixing_time(P, eps, cap, **known)
 
     def test_a_failed_full_check_adds_the_worst_row_and_resumes(self, monkeypatch):
         # seeded with the centre alone, whose row mixes first, the candidates reach eps
@@ -1117,7 +1111,7 @@ class TestSpectralMixing:
         monkeypatch.setattr(chains, "_row_distances", spy)
         for eps in (0.05, 0.25, 0.4):
             del full[:]
-            t_mix = mixing_time(P, eps, stationary=a.stationary, period=1)
+            t_mix = mixing_time(P, eps)
             assert t_mix == _parent_mixing_time(P, eps, stationary=a.stationary, period=1)
             assert len(full) >= 2 and full[0][1] > eps >= full[-1][1] and full[-1][0] == t_mix
 
@@ -1127,10 +1121,66 @@ class TestSpectralMixing:
         P[np.arange(n), (np.arange(n) + 1) % n] = 0.3
         P[np.arange(n), (np.arange(n) + 2) % n] = 0.2
         P = StochasticMatrix(P)
-        pi = stationary_distribution(P)
-        assert chains._spectrum(P, pi) is None
+        assert chains._spectrum(P, stationary_distribution(P)) is None
         _without_spectrum(monkeypatch, "eigh", "eigvalsh")
         products = _count_products(monkeypatch)
-        t_mix = mixing_time(P, 0.25, stationary=pi, period=1)
+        t_mix = mixing_time(P, 0.25)
         k = (t_mix - 1).bit_length() - 1
         assert len(products) == _level_bound(k)
+
+
+def _parent_hitting_times(P: StochasticMatrix, pi: Distribution) -> np.ndarray:
+    """``hitting_times`` as it stood when the caller passed the stationary law, as a reference."""
+    p = pi.probs
+    Z = np.linalg.inv(np.eye(P.n) - P.entries + p[None, :])
+    H = (np.diag(Z)[None, :] - Z) / p[None, :]
+    np.fill_diagonal(H, 0.0)
+    return H
+
+
+def _campus_walk() -> StochasticMatrix:
+    text = (Path(__file__).resolve().parents[1] / "data" / "campus_map.json").read_text()
+    return random_walk_matrix(load_map(text))
+
+
+class TestTheChainIsTheOnlyInput:
+    """mixing_time, mixing_rate and hitting_times work out pi and the period themselves."""
+
+    def test_signatures(self):
+        assert list(inspect.signature(mixing_time).parameters) == ["P", "eps", "cap"]
+        assert list(inspect.signature(mixing_rate).parameters) == ["P"]
+        assert list(inspect.signature(hitting_times).parameters) == ["P"]
+
+    def test_lazy_three_state_path(self):
+        # d(t) = 0.5 * 2**-t: 1/4 at t = 1, and first at most 0.01 at t = 6
+        P = _sm([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        assert mixing_time(P, 0.25) == 1 == _reference_mixing_time(P, 0.25, cap=50)[0]
+        assert mixing_time(P, 0.01) == 6 == _reference_mixing_time(P, 0.01, cap=50)[0]
+
+    def test_mixing_rate_is_the_general_spectrum(self):
+        P = _triangulated_grid(6, 6)  # reversible: analyze takes the symmetric spectrum
+        assert mixing_rate(P) == float(np.sort(np.abs(np.linalg.eigvals(P.entries)))[-2])
+
+    @pytest.mark.parametrize("P", [
+        _campus_walk(), random_walk_matrix(grid_graph(1, 2)), random_walk_matrix(grid_graph(4, 5)),
+        random_walk_matrix(grid_graph(7, 7)), _triangulated_grid(3, 4), _triangulated_grid(7, 7),
+    ], ids=["campus", "grid1x2", "grid4x5", "grid7x7", "tri3x4", "tri7x7"])
+    def test_hitting_times_match_the_parent_on_maps(self, P):
+        want = _parent_hitting_times(P, analyze(P).stationary)
+        assert hitting_times(P).tobytes() == want.tobytes()
+
+    @given(connected_graphs(max_n=12), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=100)
+    def test_hitting_times_match_the_parent_on_walk_graphs(self, g, hold):
+        P = random_walk_matrix(g)
+        P = _lazy(P, hold) if hold else P
+        want = _parent_hitting_times(P, analyze(P).stationary)
+        assert hitting_times(P).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("P", [
+        REDUCIBLE, hold_on_obstacle(random_walk_matrix(grid_graph(3, 3)), [4]),
+    ], ids=["reducible", "held_grid"])
+    def test_reducible_chain_raises(self, P):
+        for fn in (hitting_times, mixing_time):
+            with pytest.raises(ValueError, match=r"^chain is reducible \(\d+ communicating classes\)"):
+                fn(P)

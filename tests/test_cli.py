@@ -633,7 +633,7 @@ class TestInputContract:
     ], ids=["ill_conditioned", "out_of_memory"])
     def test_failed_hitting_times_leave_no_artifact(self, tmp_path, line_map, capsys,
                                                     monkeypatch, error, named):
-        def failing(P, pi):
+        def failing(P):
             raise error
 
         monkeypatch.setattr(chains, "hitting_times", failing)

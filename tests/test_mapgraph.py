@@ -93,6 +93,46 @@ class TestPathGraph:
         with pytest.raises(MapValidationError):
             PathGraph([(0, 0), (1, 0)], ((0, 5),))
 
+    @pytest.mark.parametrize("edges, shown", [
+        ([(0.5, 1)], "(0.5, 1)"), ([(True, 0)], "(True, 0)"), ([(0, False)], "(0, False)"),
+        (np.array([[0.0, 1.0]]), "[0.0, 1.0]"), (np.array([[True, False]]), "[True, False]"),
+        ([(0, 1, 1)], "(0, 1, 1)"), ([[0, 1], [1]], "[1]"), ([(0, "1")], "(0, '1')"),
+        ([0, 1], "0"), (np.array([0, 1]), "0"), ([(0, 1), None], "None"),
+    ], ids=["float", "bool", "bool_second", "float_array", "bool_array", "triple", "ragged",
+            "string", "flat_list", "flat_array", "none"])
+    def test_rejects_edges_that_are_not_integer_pairs(self, edges, shown):
+        with pytest.raises(MapValidationError,
+                           match=f"^edge {re.escape(shown)} is not a pair of integer vertex ids$"):
+            PathGraph([(0, 0), (1, 0)], edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1)], ((1, 0),), [[np.int64(0), np.int32(1)]], np.array([[0, 1]], dtype=np.uint8),
+        iter([(1, 0)]),
+    ], ids=["list", "tuple", "numpy_ints", "uint8_array", "iterator"])
+    def test_accepts_integer_pairs(self, edges):
+        assert PathGraph([(0, 0), (1, 0)], edges).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 3), "rows must be an integer >= 1, got 2.5"),
+        ((True, 3), "rows must be an integer >= 1, got True"),
+        ((0, 3), "rows must be an integer >= 1, got 0"),
+        ((2, 3.0), "cols must be an integer >= 1, got 3.0"),
+        ((2, -1), "cols must be an integer >= 1, got -1"),
+        ((2, 3, math.inf), "spacing must be finite and > 0, got inf"),
+        ((2, 3, math.nan), "spacing must be finite and > 0, got nan"),
+        ((2, 3, 0.0), "spacing must be finite and > 0, got 0.0"),
+        ((2, 3, -1), "spacing must be finite and > 0, got -1"),
+        ((2, 3, "2"), "spacing must be finite and > 0, got '2'"),
+        ((2, 3, None), "spacing must be finite and > 0, got None"),
+    ])
+    def test_grid_graph_rejects_bad_sizes_and_spacing(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_graph(*args)
+
+    def test_grid_graph_takes_numpy_sizes(self):
+        g = grid_graph(np.int64(2), np.int32(3), np.float64(2.0))
+        assert g.n == 6 and g.positions()[-1].tolist() == [4.0, 2.0]
+
     def test_edges_are_canonicalized(self):
         g = PathGraph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], ((2, 1), (1, 0)))
         assert g.edges == ((0, 1), (1, 2))

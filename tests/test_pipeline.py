@@ -408,6 +408,21 @@ class TestScoresAndError:
             localization_error([0, 1], off_map, g)
         assert (exc.value.fix, exc.value.field) == (1, "truth_vertex")
 
+    @pytest.mark.parametrize("estimate, shown, fix", [
+        ([-1] * 4, "-1", 0), ([0.7] * 4, "0.7", 0), ([0, 1, 2, 9], "9", 3),
+        (np.array([0, 1, 4, 3]), "4", 2), (np.array([0.0, 1.0, 2.0, 3.0]), "0.0", 0),
+        ([0, 1.0, 2, 3], "1.0", 1), ([0, 1, None, 3], "None", 2), ([0, 1, 2, "3"], "'3'", 3),
+        ([0, 1, 2, 10**30], repr(10**30), 3), (np.array([True, False, True, False]), "True", 0),
+    ], ids=["negative", "fraction", "past_n", "array_past_n", "float_array", "float",
+            "none", "string", "huge", "bool_array"])
+    def test_localization_error_rejects_bad_estimate_ids(self, estimate, shown, fix):
+        g = grid_graph(2, 2)
+        tr = Trace(t=np.arange(4.0), xy=g.positions(), truth=np.arange(4))
+        message = f"estimate vertex {shown} at fix {fix} is not an integer in 0..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            localization_error(estimate, tr, g)
+        assert localization_error(np.arange(4), tr, g) == localization_error([0, 1, 2, 3], tr, g) == 0.0
+
     def test_localization_error_requires_truth(self):
         g = grid_graph(2, 2, 1.0)
         tr = Trace(t=[0.0], xy=[[0, 0]])
