@@ -238,7 +238,12 @@ def snap(tr: Trace, g: PathGraph) -> list[int]:
 
 #: bytes of one block of per-vertex emission scores: the fixes are scored
 #: against every vertex this many bytes' worth at a time, so no m x n table exists
-_EMISSION_BLOCK_BYTES = 1 << 20
+_EMISSION_BLOCK_BYTES = 1 << 17
+
+#: bytes of per-fix trellis scores ``smooth`` holds at once: a longer trace is
+#: decoded in segments of that many fixes, each earlier one replayed from the
+#: scores that enter it, so memory does not grow with m * n
+_TRELLIS_BYTES = 1 << 24
 
 
 def _fix_blocks(m: int, n: int) -> Iterator[slice]:
@@ -278,12 +283,17 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
     Runs max-product dynamic programming in log space with a uniform prior
     over the first state and emission density proportional to
     exp(-|fix - vertex|^2 / (2 sigma^2)). Each stage maximizes over the
-    predecessors of every state only, O(n * d) for largest in-degree d.
-    Emission scores are computed for a block of fixes at a time, and the
-    back-pointers hold the winning predecessor's slot, in the smallest
-    unsigned type that fits d, so memory is O(n * d) plus m * n slots.
-    Stage-wise ties resolve to the lower vertex id. Raises TrellisError when
-    every sequence has zero probability.
+    predecessors of every state only, O(n * d) for largest in-degree d, and
+    keeps each state's best score, not which predecessor gave it. Tracing
+    back finds the winning predecessor again for the one state on the
+    decoded path at each fix: the first maximum in ascending predecessor id,
+    so ties resolve to the lower vertex id. Emission scores are computed for
+    a block of fixes at a time. The scores of at most
+    ``_TRELLIS_BYTES // (8 * (n + 1))`` fixes are held at once: a longer
+    trace is cut into segments of that many fixes, the scores entering each
+    are kept, and tracing back replays every segment but the last from them.
+    So memory is O(n * d) plus that budget plus n + 1 floats per segment.
+    Raises TrellisError when every sequence has zero probability.
     """
     if P.n != g.n:
         raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
@@ -291,42 +301,77 @@ def smooth(tr: Trace, g: PathGraph, P: StochasticMatrix, emission_sigma: float =
         raise ValueError(f"emission_sigma must be finite and > 0, and 2 sigma^2 must not "
                          f"underflow to 0, got {emission_sigma!r}")
     m, n = len(tr), g.n
-    # Predecessor table from the reversed digraph: row v lists the states u
-    # with P[u, v] > 0 in ascending id, padded to the largest in-degree with
-    # the sentinel state n, whose score stays -inf.
+    # Predecessor table from the reversed digraph, slot-major: column v lists
+    # the states u with P[u, v] > 0 in ascending id, padded to the largest
+    # in-degree with the sentinel state n, whose score stays -inf.
     indptr, src, w = _transitions(P, reverse=True)
-    indeg, rows = np.diff(indptr), np.arange(n)
-    dst = np.repeat(rows, indeg)
+    indeg = np.diff(indptr)
+    dst = np.repeat(np.arange(n), indeg)
     slot = np.arange(src.size) - np.repeat(indptr[:-1], indeg)
-    pred = np.full((n, int(indeg.max())), n)
-    pred[dst, slot] = src
+    lw = np.log(w)
+    pred = np.full((int(indeg.max()), n), n)
+    pred[slot, dst] = src
     log_w = np.full(pred.shape, -np.inf)
-    log_w[dst, slot] = np.log(w)
-    delta = np.full(n + 1, -np.inf)
-    back = np.zeros((m, n), dtype=np.min_scalar_type(pred.shape[1] - 1))
+    log_w[slot, dst] = lw
+    cand = np.empty(pred.shape)
     obs, pos = tr.positions(), g.positions()
-    log_em = (row for block in _fix_blocks(m, n)
-              for row in _log_emissions(obs[block, None], pos, emission_sigma))
-    flat = rows * pred.shape[1]  # where each row of the (n, d) candidates starts, raveled
-    for k, em in enumerate(log_em):
-        if k == 0:
-            delta[:n] = em  # uniform prior contributes a constant; omitted
-        else:
-            cand = delta.take(pred)
-            cand += log_w
-            j = cand.argmax(axis=1)  # first max slot = lowest predecessor id
-            back[k] = j
-            j += flat
-            np.add(cand.take(j), em, out=delta[:n])
-        if delta[:n].max() == -np.inf:  # delta[n], the sentinel, is always -inf
+    seg = max(1, _TRELLIS_BYTES // (8 * (n + 1)))
+    scores = np.full((min(seg, m), n + 1), -np.inf)  # column n: the sentinel
+
+    def forward(lo: int, hi: int, prev: np.ndarray | None) -> None:
+        """Score fixes lo..hi-1 into the rows of ``scores``, from the scores of fix lo - 1."""
+        i = 0
+        for block in _fix_blocks(hi - lo, n):
+            for em in _log_emissions(obs[lo + block.start:lo + block.stop, None], pos,
+                                     emission_sigma):
+                row = scores[i, :n]
+                if prev is None:
+                    row[:] = em  # uniform prior contributes a constant; omitted
+                else:
+                    # The max is one of the candidates, and no candidate is
+                    # -0.0 (log_w never is) or NaN, so each score has the
+                    # bits of the candidate an argmax would pick: the
+                    # np.maximum.reduceat step of bench/oracle.py::viterbi.
+                    # Every index is in 0..n, so "wrap" only skips the
+                    # bounds check and the buffered copy "raise" makes.
+                    prev.take(pred, out=cand, mode="wrap")
+                    np.add(cand, log_w, out=cand)
+                    np.maximum.reduce(cand, axis=0, out=row)
+                    row += em
+                prev = scores[i]
+                i += 1
+        # once every score is -inf, every later score is -inf too
+        if scores[hi - lo - 1].max() == -np.inf:
+            k = lo + int(np.argmax(scores[:hi - lo].max(axis=1) == -np.inf))
             dead = (f"no positive-probability path survives to fix {k}" if k else
                     "no state has positive probability at fix 0")
             if np.isinf(_squared_distances(obs[k], pos)).all():
                 raise TrellisError(f"{dead}: its squared distance to every vertex overflows", k)
             raise TrellisError(f"{dead}; widen emission_sigma or augment the chain with self-loops", k)
-    seq = [int(np.argmax(delta))]
-    for k in range(m - 1, 0, -1):
-        seq.append(int(pred[seq[-1], back[k, seq[-1]]]))
+
+    starts = range(0, m, seg)
+    entering: list[np.ndarray | None] = [None]  # the scores of the fix before each segment
+    for lo in starts:
+        if lo:
+            entering.append(scores[seg - 1].copy())
+        forward(lo, min(lo + seg, m), entering[-1])
+    ptr, src_l, lw_l = indptr.tolist(), src.tolist(), lw.tolist()
+    v = int(np.argmax(scores[(m - 1) % seg]))
+    seq = [v]
+    for s in range(len(starts) - 1, -1, -1):
+        lo = starts[s]
+        hi = min(lo + seg, m)
+        if hi < m:
+            forward(lo, hi, entering[s])
+        for k in range(hi - 1, max(lo, 1) - 1, -1):
+            item = scores[k - 1 - lo].item if k > lo else entering[s].item
+            best, u = -math.inf, v
+            for j in range(ptr[v], ptr[v + 1]):  # the first maximum: the lowest id
+                score = item(src_l[j]) + lw_l[j]
+                if score > best:
+                    best, u = score, src_l[j]
+            v = u
+            seq.append(v)
     seq.reverse()
     return seq
 
@@ -344,7 +389,9 @@ def localization_error(estimate: Sequence[int], tr: Trace, g: PathGraph) -> floa
         raise FixError(f"truth_vertex {truth_states[k]} outside 0..{g.n - 1} at fix {k}", k,
                        "truth_vertex")
     ids = np.asarray(estimate)
-    if ids.dtype.kind in "iu":
+    # numpy reads a bool among ints as an int, so only a sequence with no bool is range-checked whole
+    if ids.dtype.kind in "iu" and (isinstance(estimate, np.ndarray)
+                                   or {bool, np.bool_}.isdisjoint(map(type, estimate))):
         bad = np.flatnonzero((ids < 0) | (ids >= g.n)).tolist()
     else:  # floats, bools or objects: each id is checked as given
         ids = ids.tolist() if isinstance(estimate, np.ndarray) else list(estimate)

@@ -595,10 +595,28 @@ def _decode(fn, tr, g, P, sigma):
         return type(exc), str(exc), exc.fix
 
 
+def _in_segments(fixes, tr, g, P, sigma):
+    """``smooth`` with a score budget that holds ``fixes`` fixes per segment."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_TRELLIS_BYTES", 8 * (g.n + 1) * fixes)
+        return _decode(smooth, tr, g, P, sigma)
+
+
+def _assert_agrees_with_ref(tr, g, P, sigma):
+    """One decode, whole and in segments of 1, 2, isqrt(m) and m fixes, equal to ``ref_smooth``."""
+    want = _decode(ref_smooth, tr, g, P, sigma)
+    assert _decode(smooth, tr, g, P, sigma) == want
+    m = len(tr)
+    for fixes in (1, 2, math.isqrt(m), m):
+        assert _in_segments(fixes, tr, g, P, sigma) == want, fixes
+
+
 _SIGMAS = st.sampled_from([0.3, 1.0, 5.0, 1e-160])
 
 
 class TestSmoothAgainstRowSlotGather:
+    """Whole decodes and decodes in replayed segments give ``ref_smooth``'s sequence or error."""
+
     @settings(max_examples=150, deadline=None)
     @given(connected_graphs(max_n=12), st.data(), _SIGMAS)
     def test_walk_graphs_and_held_walks(self, g, data, sigma):
@@ -610,7 +628,7 @@ class TestSmoothAgainstRowSlotGather:
         noise = data.draw(st.sampled_from([0.0, 0.4, 3.0]))
         xy = walk.xy + np.random.default_rng(len(walk)).normal(0.0, noise, walk.xy.shape)
         tr = Trace(t=walk.t, xy=xy)
-        assert _decode(smooth, tr, g, P, sigma) == _decode(ref_smooth, tr, g, P, sigma)
+        _assert_agrees_with_ref(tr, g, P, sigma)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 7), st.data(), _SIGMAS)
@@ -624,7 +642,7 @@ class TestSmoothAgainstRowSlotGather:
         m = data.draw(st.integers(1, 12))
         fixes = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
         tr = Trace(t=np.arange(m, dtype=float), xy=g.positions()[fixes])
-        assert _decode(smooth, tr, g, P, sigma) == _decode(ref_smooth, tr, g, P, sigma)
+        _assert_agrees_with_ref(tr, g, P, sigma)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
@@ -636,4 +654,23 @@ class TestSmoothAgainstRowSlotGather:
         xy = np.array([(pos[a] + pos[b]) / 2 for a, b in edges])
         tr = Trace(t=np.arange(len(edges), dtype=float), xy=xy)
         sigma = data.draw(_SIGMAS)
-        assert _decode(smooth, tr, g, P, sigma) == _decode(ref_smooth, tr, g, P, sigma)
+        _assert_agrees_with_ref(tr, g, P, sigma)
+
+    @pytest.mark.parametrize("fixes, dead, kind", [
+        (4, 6, "repeat"), (4, 9, "overflow"), (4, 8, "repeat"), (4, 4, "overflow"),
+        (1, 5, "repeat"), (2, 13, "repeat"), (3, 0, "overflow"),
+    ], ids=["inside_a_later_segment", "overflow_inside", "first_of_a_later_segment",
+            "overflow_first_of_the_second", "one_fix_segments", "last_fix", "fix_0"])
+    def test_dead_fix_in_a_later_segment(self, fixes, dead, kind):
+        # sigma 1e-160 scores -inf at every vertex but the one a fix sits on: a
+        # walk with no self-loop cannot stay put, and a fix at 1e200 m overflows
+        g = grid_graph(3, 3)
+        P = random_walk_matrix(g)
+        xy = g.positions()[[0, 1, 2, 5, 4, 3, 6, 7, 8, 5, 2, 1, 0, 3]]
+        xy[dead] = xy[dead - 1] if kind == "repeat" else 1e200
+        tr = Trace(t=np.arange(len(xy), dtype=float), xy=xy)
+        want = _decode(ref_smooth, tr, g, P, 1e-160)
+        reason = ("widen emission_sigma or augment the chain with self-loops" if kind == "repeat"
+                  else "its squared distance to every vertex overflows")
+        assert want[0] is TrellisError and want[2] == dead and want[1].endswith(reason)
+        assert _in_segments(fixes, tr, g, P, 1e-160) == _decode(smooth, tr, g, P, 1e-160) == want

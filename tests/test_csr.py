@@ -423,21 +423,32 @@ class TestSparseMemory:
         assert len(seen) == -(-700 // (pipeline._EMISSION_BLOCK_BYTES // (8 * g.n)))
         assert max(seen) <= pipeline._EMISSION_BLOCK_BYTES
 
-    def test_back_pointers_take_a_byte_per_fix_and_vertex(self):
-        # int64 vertex ids would take 8 m n bytes; one-byte slots and the
-        # emission block (with its two temporaries) stay well below that
+    def test_scores_beyond_the_budget_are_held_one_segment_at_a_time(self, monkeypatch):
+        # the scores of 4000 fixes on 400 vertices take 12.8 MB; under a 1 MiB
+        # budget they are decoded in 13 segments of 327 fixes, each but the
+        # last replayed from the n + 1 scores that enter it. Beside those, the
+        # emission block (with its two temporaries), the predecessor table
+        # (about 140 bytes per transition, with its lists for tracing back)
+        # and the decoded sequence are all that grow
         g = grid_graph(20, 20)
         m = 4000
         tr = Trace(t=np.arange(m, dtype=float),
                    xy=np.random.default_rng(2).uniform(0.0, 19.0, (m, 2)))
         P = random_walk_matrix(g)
+        whole = smooth(tr, g, P)
+        monkeypatch.setattr(pipeline, "_TRELLIS_BYTES", 1 << 20)
+        row = 8 * (g.n + 1)
+        segments = -(-m // (pipeline._TRELLIS_BYTES // row))
+        assert m * row > pipeline._TRELLIS_BYTES and segments == 13
         tracemalloc.start()
         try:
-            smooth(tr, g, P)
+            seq = smooth(tr, g, P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * m * g.n + 3 * pipeline._EMISSION_BLOCK_BYTES
+        assert seq == whole
+        assert peak <= (pipeline._TRELLIS_BYTES + segments * row
+                        + 3 * pipeline._EMISSION_BLOCK_BYTES + 200 * P.indices.size + 64 * m)
 
     @pytest.fixture
     def grid60(self, tmp_path):

@@ -413,8 +413,11 @@ class TestScoresAndError:
         (np.array([0, 1, 4, 3]), "4", 2), (np.array([0.0, 1.0, 2.0, 3.0]), "0.0", 0),
         ([0, 1.0, 2, 3], "1.0", 1), ([0, 1, None, 3], "None", 2), ([0, 1, 2, "3"], "'3'", 3),
         ([0, 1, 2, 10**30], repr(10**30), 3), (np.array([True, False, True, False]), "True", 0),
+        ([0, True, 1, 2], "True", 1), ([True, 1, 2, 3], "True", 0),
+        ([0, 1, np.True_, 3], "np.True_", 2),
     ], ids=["negative", "fraction", "past_n", "array_past_n", "float_array", "float",
-            "none", "string", "huge", "bool_array"])
+            "none", "string", "huge", "bool_array", "bool_among_ints", "bool_first",
+            "numpy_bool_among_ints"])
     def test_localization_error_rejects_bad_estimate_ids(self, estimate, shown, fix):
         g = grid_graph(2, 2)
         tr = Trace(t=np.arange(4.0), xy=g.positions(), truth=np.arange(4))
