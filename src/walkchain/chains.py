@@ -47,6 +47,16 @@ class UnreachableStateError(ValueError):
         )
 
 
+def _kept(build):
+    """``build(P)``, kept in the matrix P's memo from its first return on; a raise keeps none."""
+    def kept(P):
+        if build not in P._memo:
+            P._memo[build] = build(P)
+        return P._memo[build]
+    kept.__name__, kept.__doc__, kept.__wrapped__ = build.__name__, build.__doc__, build
+    return kept
+
+
 class StochasticMatrix:
     """Row-stochastic transition matrix over states 0..n-1, held in CSR form.
 
@@ -57,16 +67,16 @@ class StochasticMatrix:
     transition digraph, whose edges are the positive entries, comes from
     ``_transitions`` alone; class structure, reachability, ``sample_path``
     and ``pipeline.smooth`` all read it there. ``entries`` is the dense
-    n x n view, built on first access and cached; only the dense algebra
-    (``analyze``, ``n_step``, ``evolve``, ``transient``, ``generator``)
-    reads it.
+    n x n view; only the dense algebra (``analyze``, ``n_step``, ``evolve``,
+    ``transient``, ``generator``) reads it. It, ``_class_structure`` and
+    ``stationary_distribution`` are kept in ``_memo`` once built; a pickle holds none.
 
     ``row_sum_tol`` is the admissible deviation of each row sum from 1. The
     default is tight; operations that intentionally under-approximate rows
     (truncated series) construct instances with a looser bound.
     """
 
-    __slots__ = ("indptr", "indices", "data", "row_sum_tol", "_entries")
+    __slots__ = ("indptr", "indices", "data", "row_sum_tol", "_memo")
 
     def __init__(self, entries, row_sum_tol: float = ROW_SUM_TOL):
         arr = np.asarray(entries, dtype=float)
@@ -132,7 +142,7 @@ class StochasticMatrix:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "row_sum_tol", row_sum_tol)
-        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"StochasticMatrix is immutable; cannot set {name!r}")
@@ -153,14 +163,13 @@ class StochasticMatrix:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @property
+    @_kept
     def entries(self) -> np.ndarray:
-        """Dense read-only n x n view, built on first access and cached."""
-        if self._entries is None:
-            arr = np.zeros((self.n, self.n))
-            arr[self.rows(), self.indices] = self.data
-            arr.flags.writeable = False
-            object.__setattr__(self, "_entries", arr)
-        return self._entries
+        """Dense read-only n x n view, built on first access and kept."""
+        arr = np.zeros((self.n, self.n))
+        arr[self.rows(), self.indices] = self.data
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +218,20 @@ class ChainAnalysis:
     mixing_time: int | None
 
 
+def _integer(value, must: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer other than a bool; else
+    ValueError ``<must>, got <value>``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{must}, got {value!r}")
+    return int(value)
+
+
 def _power(P: StochasticMatrix, n: int) -> np.ndarray:
     """Dense P**n for a step count n, checked to be a non-negative integer."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"step count must be a non-negative integer, got {n!r}")
-    return np.linalg.matrix_power(P.entries, n)
+    must = "step count must be a non-negative integer"
+    if _integer(n, must) < 0:
+        raise ValueError(f"{must}, got {n!r}")
+    return np.linalg.matrix_power(P.entries, int(n))
 
 
 def n_step(P: StochasticMatrix, n: int) -> StochasticMatrix:
@@ -311,7 +329,8 @@ def _communicating_classes(indptr, indices) -> tuple[list[list[int]], list[int]]
     return classes, depth
 
 
-def _class_structure(P: StochasticMatrix) -> tuple[list[list[int]], tuple, tuple]:
+@_kept
+def _class_structure(P: StochasticMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple, tuple]:
     """Communicating classes, their closure and periods, from one Tarjan pass.
 
     Each class is a subtree of the DFS forest, so its period is the gcd of
@@ -330,25 +349,21 @@ def _class_structure(P: StochasticMatrix) -> tuple[list[list[int]], tuple, tuple
     periods = np.zeros(len(classes), dtype=np.int64)
     np.gcd.at(periods, cid[inside], depth[src[inside]] + 1 - depth[dst[inside]])
     closed = np.bincount(cid[~inside], minlength=len(classes)) == 0
-    return classes, tuple(closed.tolist()), tuple(periods.tolist())
+    return tuple(map(tuple, classes)), tuple(closed.tolist()), tuple(periods.tolist())
 
 
-def stationary_distribution(P: StochasticMatrix,
-                            classes: list[list[int]] | None = None) -> Distribution:
+@_kept
+def stationary_distribution(P: StochasticMatrix) -> Distribution:
     """Unique stationary vector of an irreducible chain, by direct linear solve.
 
     Solves (P^T - I) pi = 0 with one equation replaced by normalization
     sum(pi) = 1. Raises ValueError for reducible chains, where no unique
-    stationary distribution exists. ``classes`` are the chain's communicating
-    classes when the caller already has them.
+    stationary distribution exists.
     """
-    if classes is None:
-        classes = _communicating_classes(*_transitions(P)[:2])[0]
+    classes = _class_structure(P)[0]
     if len(classes) != 1:
-        raise ValueError(
-            f"chain is reducible ({len(classes)} communicating classes); "
-            "stationary distribution is not unique"
-        )
+        raise ValueError(f"chain is reducible ({len(classes)} communicating classes); "
+                         "stationary distribution is not unique")
     n = P.n
     A = P.entries.T - np.eye(n)
     A[-1, :] = 1.0
@@ -421,10 +436,11 @@ class _Spectrum:
     asym: float
 
 
-def _spectrum(P: StochasticMatrix, pi: Distribution) -> _Spectrum | None:
+def _spectrum(P: StochasticMatrix) -> _Spectrum | None:
     """One ``eigh`` of S when P has at least SPECTRAL_MIN_N states and is reversible, else None."""
     if P.n < SPECTRAL_MIN_N:
         return None
+    pi = stationary_distribution(P)
     found = _symmetrized(P, pi)
     if found is None:
         return None
@@ -441,9 +457,8 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
 
     None when d(cap) > eps, which is certain for a periodic chain and eps < 1/2.
 
-    Requires irreducibility; pi and the period come from one class computation.
-    A periodic chain returns at once: every row of P**t sits on one cyclic
-    class, so d(t) >= 1 - 1/period >= 1/2.
+    Requires irreducibility. A periodic chain returns at once: every row of
+    P**t sits on one cyclic class, so d(t) >= 1 - 1/period >= 1/2.
 
     Every search uses that d(t) never increases, and neither does the TV
     distance of any one row (Levin, Peres & Wilmer, *Markov Chains and Mixing
@@ -471,33 +486,31 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
     the lifting takes them as its jumps. That takes at most 2k + 1 matrix
     products and about k + 3 n x n arrays besides P.
 
-    Raises ValueError when cap is not a Python or numpy integer, or eps is NaN.
+    Raises ValueError when cap is not a Python or numpy integer (a bool is not), or eps is NaN.
     """
-    if not isinstance(cap, (int, np.integer)):
-        raise ValueError(f"cap must be an integer, got {cap!r}")
+    cap = _integer(cap, "cap must be an integer")
     if math.isnan(eps):
         raise ValueError(f"eps must be a number, got {eps!r}")
-    classes, _, periods = _class_structure(P)
-    stationary = stationary_distribution(P, classes)
-    if cap < 1 or (periods[0] > 1 and eps < 0.5):
+    stationary_distribution(P)  # raises for a reducible chain
+    if cap < 1 or (_class_structure(P)[2][0] > 1 and eps < 0.5):
         return None
-    return _mixing_time(P, eps, cap, stationary, _spectrum(P, stationary))
+    return _mixing_time(P, eps, cap, _spectrum(P))
 
 
 class _WithinBand(Exception):
     """A decision of the spectral search came within its guard band of eps."""
 
 
-def _mixing_time(P: StochasticMatrix, eps: float, cap: int, stationary: Distribution,
+def _mixing_time(P: StochasticMatrix, eps: float, cap: int,
                  spectrum: _Spectrum | None) -> int | None:
     """``mixing_time`` for an integer cap >= 1: in ``spectrum`` when there is one, else over
     powers of P."""
     if spectrum is not None:
         try:
-            return _spectral_search(spectrum, eps, int(cap))
+            return _spectral_search(spectrum, eps, cap)
         except _WithinBand:
             pass
-    return _level_search(P, eps, cap, stationary.probs[None, :])
+    return _level_search(P, eps, cap, stationary_distribution(P).probs[None, :])
 
 
 def _spectral_search(sp: _Spectrum, eps: float, cap: int) -> int | None:
@@ -633,25 +646,25 @@ def _level_search(P: StochasticMatrix, eps: float, cap: int, pi: np.ndarray) -> 
 def analyze(P: StochasticMatrix) -> ChainAnalysis:
     """Full structural report: classes, closure, periods, stationary behavior.
 
-    The classes, closure and periods come from one class computation,
-    reused by the stationary solve and the mixing-time search.
+    The class structure and the stationary law are each derived once and
+    kept on P, where the mixing-time search and ``hitting_times`` find them.
     """
     classes, closed, periods = _class_structure(P)
     irreducible = len(classes) == 1
     stationary = rate = t_mix = None
     if irreducible:
-        stationary = stationary_distribution(P, classes)
+        stationary = stationary_distribution(P)
         if periods[0] > 1:
             # a period d > 1 puts every d-th root of unity in the spectrum (Perron-Frobenius;
             # Seneta, *Non-negative Matrices and Markov Chains*, ch. 1), so no spectrum is
             # needed, and d(t) >= 1/2 > MIXING_EPS for every t (see mixing_time)
             rate, t_mix = 1.0, None
         else:
-            spectrum = _spectrum(P, stationary)  # one eigh for the rate and the search
+            spectrum = _spectrum(P)  # one eigh for the rate and the search
             rate = _rate(P, stationary, spectrum)
-            t_mix = _mixing_time(P, MIXING_EPS, MIXING_TIME_CAP, stationary, spectrum)
+            t_mix = _mixing_time(P, MIXING_EPS, MIXING_TIME_CAP, spectrum)
     return ChainAnalysis(
-        classes=tuple(tuple(c) for c in classes),
+        classes=classes,
         closed=closed,
         periods=periods,
         irreducible=irreducible,
@@ -669,6 +682,7 @@ def hitting_time(P: StochasticMatrix, u: int, v: int) -> float:
     the walk can visit before v cannot reach v (the expectation is then
     infinite); states it can reach only after v do not count.
     """
+    u, v = (_integer(s, "state must be an integer") for s in (u, v))
     for s in (u, v):
         if not (0 <= s < P.n):
             raise ValueError(f"state {s} outside 0..{P.n - 1}")
@@ -723,9 +737,10 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
     to the first state whose cumulative row probability exceeds u, or to state
     n - 1 when rounding leaves the row total at or below u.
     """
+    start = _integer(start, "start state must be an integer")
     if not (0 <= start < P.n):
         raise ValueError(f"start state {start} outside 0..{P.n - 1}")
-    if n_steps < 0:
+    if _integer(n_steps, "n_steps must be an integer") < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     # Only positive columns are searched: at a zero column the cumulative sum
     # repeats its left neighbour's, so it is never the first to exceed u. The

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .chains import StochasticMatrix, _join_or_write, _transitions, sample_path
+from .chains import StochasticMatrix, _integer, _join_or_write, _transitions, sample_path
 from .mapgraph import LocalPoint, PathGraph, _document, _get_number
 from .profiles import WalkingProfile
 
@@ -415,7 +415,7 @@ def hold_on_obstacle(P: StochasticMatrix, blocked: Iterable[int]) -> StochasticM
 
     The CSR rows of the blocked states become one stored 1.0 on the diagonal.
     """
-    blocked = sorted(set(int(b) for b in blocked))
+    blocked = sorted({_integer(b, "blocked state must be an integer") for b in blocked})
     for b in blocked:
         if not (0 <= b < P.n):
             raise ValueError(f"blocked state {b} outside 0..{P.n - 1}")

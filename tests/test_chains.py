@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -119,10 +120,13 @@ class TestEvolution:
     def test_rejects_negative_step_count(self):
         d0 = Distribution(np.array([1.0, 0.0, 0.0]))
         for call in (lambda n: n_step(K3, n), lambda n: evolve(d0, K3, n)):
-            for bad in (-1, 1.0):
-                with pytest.raises(ValueError, match=f"step count must be a non-negative "
-                                                     f"integer, got {bad!r}"):
+            for bad in (-1, 1.0, True, False, np.int64(-1), np.True_):
+                with pytest.raises(ValueError) as caught:
                     call(bad)
+                assert str(caught.value) == f"step count must be a non-negative integer, got {bad!r}"
+        for n in (np.int64(2), np.int32(0), np.uint8(3)):
+            assert n_step(K3, n).entries.tobytes() == n_step(K3, int(n)).entries.tobytes()
+            assert evolve(d0, K3, n).probs.tobytes() == evolve(d0, K3, int(n)).probs.tobytes()
 
     @given(stochastic_matrices(), st.integers(0, 4), st.integers(0, 4))
     def test_chapman_kolmogorov(self, P, m, n):
@@ -255,6 +259,57 @@ class TestStationary:
         assert np.allclose(moved.probs, pi.probs, atol=1e-14)
 
 
+CAMPUS_WALK = random_walk_matrix(load_map((Path(__file__).resolve().parents[1] / "data"
+                                          / "campus_map.json").read_text()))
+
+
+class TestKeptDerivations:
+    """The class structure and the stationary law are derived once per matrix and kept on it."""
+
+    def test_each_value_is_derived_once(self, monkeypatch):
+        P = _triangulated_grid(4, 4)
+        calls = []
+        tarjan, solve = chains._communicating_classes, np.linalg.solve
+        monkeypatch.setattr(chains, "_communicating_classes",
+                            lambda *args: calls.append("classes") or tarjan(*args))
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append("solve") or solve(*args))
+        a = analyze(P)
+        assert mixing_time(P) == a.mixing_time and stationary_distribution(P) is a.stationary
+        assert chains._class_structure(P)[0] is a.classes == (tuple(range(P.n)),)
+        assert calls == ["classes", "solve"]
+
+    def test_a_reducible_chain_raises_on_every_call(self):
+        P = _sm(REDUCIBLE.entries)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^chain is reducible \(3 communicating classes\); "):
+                stationary_distribution(P)
+        assert list(P._memo) == [chains._class_structure.__wrapped__]  # the failure is not kept
+
+    def test_no_function_takes_the_law_of_its_chain(self):
+        assert list(inspect.signature(stationary_distribution).parameters) == ["P"]
+        assert list(inspect.signature(chains._spectrum).parameters) == ["P"]
+        assert list(inspect.signature(chains._mixing_time).parameters) == ["P", "eps", "cap",
+                                                                          "spectrum"]
+        assert stationary_distribution.__name__ == "stationary_distribution"
+        assert stationary_distribution.__doc__.startswith("Unique stationary vector")
+
+    @pytest.mark.parametrize("P", [CAMPUS_WALK, _triangulated_grid(11, 11)],
+                             ids=["campus", "tri11x11"])
+    def test_a_pickle_carries_no_kept_value(self, P):
+        P = pickle.loads(pickle.dumps(P))  # a fresh copy, as the parametrized one is shared
+        blank = pickle.dumps(P)
+        a, H = analyze(P), hitting_times(P)
+        assert len(P._memo) == 3  # the dense view, the class structure and the law
+        assert pickle.dumps(P) == blank
+        Q = pickle.loads(blank)
+        assert Q._memo == {}
+        b = analyze(Q)
+        assert (b.classes, b.closed, b.periods, b.irreducible, b.mixing_rate, b.mixing_time) == (
+            a.classes, a.closed, a.periods, a.irreducible, a.mixing_rate, a.mixing_time)
+        assert b.stationary.probs.tobytes() == a.stationary.probs.tobytes()
+        assert hitting_times(Q).tobytes() == H.tobytes()
+
+
 class TestMixing:
     def test_lazy_flip_rate_and_time(self):
         assert mixing_rate(LAZY_FLIP) == pytest.approx(0.5, abs=1e-12)
@@ -327,7 +382,7 @@ class TestSymmetricMixingRate:
         P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
         pi = stationary_distribution(P)
         assert chains._symmetrized(P, pi) is not None  # the symmetric route is the one taken
-        got = chains._rate(P, pi, chains._spectrum(P, pi))
+        got = chains._rate(P, pi, chains._spectrum(P))
         d = np.sqrt(W.sum(axis=1))
         slem = np.sort(np.abs(np.linalg.eigvalsh(W / np.outer(d, d))))[-2]
         assert abs(got - mixing_rate(P)) <= 1e-12
@@ -338,7 +393,7 @@ class TestSymmetricMixingRate:
     def test_non_reversible_chain_takes_eigvals(self, P):
         pi = analyze(P).stationary
         assert chains._symmetrized(P, pi) is None
-        assert chains._rate(P, pi, chains._spectrum(P, pi)) == mixing_rate(P)
+        assert chains._rate(P, pi, chains._spectrum(P)) == mixing_rate(P)
 
 
 def _cyclic_blocks(sizes) -> StochasticMatrix:
@@ -381,10 +436,24 @@ class TestPeriodicMixingRate:
     def test_aperiodic_chain_keeps_its_spectrum(self, P):
         a = analyze(P)
         assert a.periods == (1,)
-        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P, a.stationary))
+        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P))
 
 
 class TestPassageTimes:
+    @pytest.mark.parametrize("bad", [0.5, 1.7, True, False, np.True_, np.float64(1.0), "1", None])
+    def test_states_must_be_integers(self, bad):
+        P = path_graph_matrix(3)
+        for call in (lambda: hitting_time(P, bad, 1), lambda: hitting_time(P, 0, bad),
+                     lambda: commute_time(P, bad, 2), lambda: commute_time(P, 0, bad)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == f"state must be an integer, got {bad!r}"
+
+    def test_numpy_integer_states_give_the_same_times(self):
+        P = path_graph_matrix(4)
+        assert hitting_time(P, np.int64(0), np.int32(3)) == hitting_time(P, 0, 3)
+        assert commute_time(P, np.uint8(1), np.int64(3)) == commute_time(P, 1, 3)
+
     def test_path_endpoints(self):
         P = path_graph_matrix(4)
         assert hitting_time(P, 0, 3) == pytest.approx(9.0, abs=1e-9)
@@ -616,7 +685,8 @@ class TestReferenceOracles:
     def test_cap_must_be_an_integer(self):
         # d(t) = 0.5 * 0.98**t first drops to 1/4 at t = 35, so no cap below 35 may answer 35
         P = _sm([[0.99, 0.01], [0.01, 0.99]])
-        for cap in (34.5, 34.9, np.float64(34.2), 35.0, math.inf, "35", None):
+        for cap in (34.5, 34.9, np.float64(34.2), 35.0, math.inf, "35", None, True, False,
+                    np.True_):
             with pytest.raises(ValueError) as caught:
                 mixing_time(P, cap=cap)
             assert str(caught.value) == f"cap must be an integer, got {cap!r}"
@@ -719,14 +789,13 @@ class TestMixingLevels:
                 assert mixing_time(P, eps, cap) == want, (eps, cap)
 
     @pytest.mark.parametrize("hold", [0.7, 0.9, 0.97, 0.99, 0.995, 0.999, 0.9995])
-    def test_products_follow_the_level_stride(self, hold, monkeypatch):
+    def test_two_state_products_meet_the_level_bound(self, hold, monkeypatch):
         # two states: d(t) = 0.5 * (1 - 2a)**t, so t_mix grows as a shrinks
         a = (1.0 - hold) / 2.0
         P = _sm([[1.0 - a, a], [a, 1.0 - a]])
         known = {"stationary": Distribution(np.array([0.5, 0.5])), "period": 1}
         products = _count_products(monkeypatch)
-        t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP,
-                                    known["stationary"], None)
+        t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP, None)
         k = (t_mix - 1).bit_length() - 1  # the lifting ends at t_mix - 1 in [2**k, 2**(k + 1))
         assert len(products) == _level_bound(k)
         assert products == [((2, 2), (2, 2))] * len(products)
@@ -753,8 +822,8 @@ class TestMixingLevels:
         a = analyze(P)  # builds P.entries before the trace starts
         tracemalloc.start()
         try:
-            t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP, a.stationary,
-                                        chains._spectrum(P, a.stationary))
+            t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP,
+                                        chains._spectrum(P))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -906,6 +975,19 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             sample_path(K3, 0, -1, seed=0)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.True_, np.float64(2.0), "1", None])
+    def test_start_and_step_count_must_be_integers(self, bad):
+        with pytest.raises(ValueError) as caught:
+            sample_path(K3, bad, 2, seed=1)
+        assert str(caught.value) == f"start state must be an integer, got {bad!r}"
+        with pytest.raises(ValueError) as caught:
+            sample_path(K3, 0, bad, seed=1)
+        assert str(caught.value) == f"n_steps must be an integer, got {bad!r}"
+
+    def test_numpy_integers_give_the_same_path(self):
+        want = sample_path(K3, 2, 40, seed=5).tolist()
+        assert sample_path(K3, np.int64(2), np.int32(40), seed=5).tolist() == want
+
 
 class TestCsv:
     @given(stochastic_matrices())
@@ -1030,8 +1112,8 @@ class TestSpectralMixing:
     def test_matches_the_parent_search(self, P, eps):
         classes, _, periods = chains._class_structure(P)
         assert len(classes) == 1
-        known = {"stationary": stationary_distribution(P, classes), "period": periods[0]}
-        assert chains._spectrum(P, known["stationary"]) is not None  # the spectral route
+        known = {"stationary": stationary_distribution(P), "period": periods[0]}
+        assert chains._spectrum(P) is not None  # the spectral route
         t_mix = _parent_mixing_time(P, eps, 10_000, **known)
         caps = {1, 10_000} | ({t_mix - 1, t_mix, t_mix + 1} - {0} if t_mix else set())
         for cap in sorted(caps):
@@ -1053,7 +1135,7 @@ class TestSpectralMixing:
     def test_rate_is_the_same_from_analyze_and_mixing_rate(self):
         P = _triangulated_grid(18, 18)
         a = analyze(P)
-        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P, a.stationary))
+        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P))
         S = chains._symmetrized(P, a.stationary)[0]
         assert abs(a.mixing_rate - np.sort(np.abs(np.linalg.eigvalsh(S)))[-2]) <= 1e-14
 
@@ -1080,7 +1162,7 @@ class TestSpectralMixing:
         P = _triangulated_grid(12, 12)
         a = analyze(P)
         known = {"stationary": a.stationary, "period": 1}
-        sp = chains._spectrum(P, a.stationary)
+        sp = chains._spectrum(P)
         for t in (20, 40, 60, 80, 81, 82, 120):
             d = float(chains._row_distances(sp, np.arange(P.n), [t]).max())
             for eps in (math.nextafter(d, 0), d, math.nextafter(d, 1), d - 1e-15, d + 1e-15):
@@ -1121,7 +1203,7 @@ class TestSpectralMixing:
         P[np.arange(n), (np.arange(n) + 1) % n] = 0.3
         P[np.arange(n), (np.arange(n) + 2) % n] = 0.2
         P = StochasticMatrix(P)
-        assert chains._spectrum(P, stationary_distribution(P)) is None
+        assert chains._spectrum(P) is None
         _without_spectrum(monkeypatch, "eigh", "eigvalsh")
         products = _count_products(monkeypatch)
         t_mix = mixing_time(P, 0.25)

@@ -20,6 +20,7 @@ from walkchain import (
     Trace,
     add_noise,
     array_from_csv,
+    grid_graph,
     load_map,
     random_walk_matrix,
     simulate_walk,
@@ -123,6 +124,30 @@ class TestAnalyze:
         classes = (out / "classes.csv").read_text().splitlines()
         assert classes[0] == "vertex,class_id,closed,period"
         assert len(classes) == 11
+
+    @pytest.mark.parametrize("grid", [None, (4, 5)], ids=["campus", "grid4x5"])
+    def test_one_class_computation_and_two_solves(self, tmp_path, grid, monkeypatch):
+        # the classes and pi are derived once and kept on P; the second solve is the
+        # hitting-time cross-check of hitting_times
+        map_path = DEMO_MAP
+        if grid is not None:
+            g = grid_graph(*grid)
+            xy = enumerate(g.positions().tolist())
+            doc = {"vertices": [{"id": k, "x": x, "y": y} for k, (x, y) in xy],
+                   "edges": [list(e) for e in g.edges]}
+            map_path = tmp_path / "grid.json"
+            map_path.write_text(json.dumps(doc), encoding="utf-8")
+        calls = {"classes": 0, "solve": 0}
+        classes, solve = chains._communicating_classes, np.linalg.solve
+
+        def count(name, fn):
+            return lambda *args, **kw: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kw)
+
+        monkeypatch.setattr(chains, "_communicating_classes", count("classes", classes))
+        monkeypatch.setattr(np.linalg, "solve", count("solve", solve))
+        assert main(["analyze", "--map", str(map_path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == {"classes": 1, "solve": 2}
+        assert (tmp_path / "out" / "hitting.csv").exists()
 
     def test_no_numpy_scalar_reprs_leak_into_artifacts(self, tmp_path):
         out = tmp_path / "out"

@@ -297,7 +297,7 @@ class TestGraphConstructors:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 8), st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
                                        max_size=12), st.sampled_from([0, 2**62, 2**63, -(2**70)]))
-    def test_vertex_constructor_checks_edges_as_the_per_edge_loop(self, n, edges, big):
+    def test_edge_checks_match_the_per_edge_loop(self, n, edges, big):
         if big and edges:
             edges[-1] = (edges[-1][0], big)
         positions = [(float(k), -float(k)) for k in range(n)]
@@ -316,7 +316,7 @@ class TestGraphConstructors:
 
     @pytest.mark.parametrize("rows, cols, spacing", [(1, 1, 1.0), (1, 5, 0.58), (4, 3, 2.0),
                                                      (7, 9, 0.1), (3, 3, 3)])
-    def test_grid_graph_as_built_from_vertices(self, rows, cols, spacing):
+    def test_grid_graph_as_built_from_its_positions_and_edges(self, rows, cols, spacing):
         g = grid_graph(rows, cols, spacing)
         positions = [(c * spacing, r * spacing) for r in range(rows) for c in range(cols)]
         edges = [(i, i + 1) for i in range(rows * cols) if (i + 1) % cols]

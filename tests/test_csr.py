@@ -227,13 +227,13 @@ class TestStochasticMatrix:
         assert again.entries.tobytes() == M.tobytes()
         assert again.indices.flags.c_contiguous  # not a view into nonzero's shared buffer
         fresh = StochasticMatrix.from_csr(P.indptr, P.indices, P.data)
-        assert fresh._entries is None
+        assert not fresh._memo
         assert fresh.entries.tobytes() == M.tobytes()
         assert np.array_equal(fresh.indices, np.flatnonzero((M != 0) | np.signbit(M)) % P.n)
 
     def test_entries_built_once_and_read_only(self):
         P = random_walk_matrix(grid_graph(3, 3))
-        assert P._entries is None
+        assert not P._memo
         E = P.entries
         assert P.entries is E
         for arr in (E, P.indptr, P.indices, P.data):
@@ -284,7 +284,7 @@ class TestStochasticMatrix:
         assert P.indptr.tolist() == indptr.tolist() and P.indices.tolist() == indices.tolist()
         for i in range(g.n):
             assert P.indices[P.indptr[i]:P.indptr[i + 1]].tolist() == list(g.neighbors(i))
-        assert P._entries is None
+        assert not P._memo
 
 
 class TestDenseReferences:
@@ -328,7 +328,7 @@ class TestDenseReferences:
         _, P = gP
         blocked = data.draw(st.lists(st.integers(0, P.n - 1)))
         held = hold_on_obstacle(P, blocked)
-        assert held._entries is None
+        assert not held._memo
         assert held.entries.tobytes() == _dense_hold(P, blocked).entries.tobytes()
         assert held.row_sum_tol == P.row_sum_tol
 
@@ -392,7 +392,7 @@ class TestSparseMemory:
         held = hold_on_obstacle(P, seq[:3])
         matrix_to_csv(held)
         sample_path(held, 0, 100, seed=3)
-        assert P._entries is None and held._entries is None
+        assert not P._memo and not held._memo
 
     def test_dense_constructor_keeps_no_dense_copy(self):
         # the CSR of a full 300 x 300 matrix is 1.37 MiB; a kept dense copy would add 0.69
@@ -403,7 +403,7 @@ class TestSparseMemory:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert P._entries is None
+        assert not P._memo
         assert retained <= 1.4 * 2**20 and peak <= 3.44 * 2**20
         assert P.entries.tobytes() == A.tobytes()
 

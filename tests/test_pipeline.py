@@ -170,6 +170,13 @@ class TestSimulateWalk:
         for a, b in zip(states, states[1:]):
             assert (min(a, b), max(a, b)) in edge_set
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
+    def test_start_must_be_an_integer(self, bad):
+        g = grid_graph(2, 2, 1.0)
+        with pytest.raises(ValueError) as caught:
+            simulate_walk(g, random_walk_matrix(g), NORMAL, start=bad, n_steps=3, seed=1)
+        assert str(caught.value) == f"start state must be an integer, got {bad!r}"
+
     def test_matches_bare_chain_sample_with_same_seed(self):
         g = grid_graph(3, 3, 1.0)
         P = random_walk_matrix(g)
@@ -471,6 +478,20 @@ class TestHold:
         P = random_walk_matrix(grid_graph(2, 2, 1.0))
         with pytest.raises(ValueError, match=r"^blocked state -1 outside 0\.\.3$"):
             hold_on_obstacle(P, blocked=[9, 2, -1])
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, np.float64(1.0), "1", None])
+    def test_blocked_states_must_be_integers(self, bad):
+        # a float or a bool used to be cast, so 1.7 and True both held state 1
+        P = random_walk_matrix(grid_graph(2, 2, 1.0))
+        with pytest.raises(ValueError) as caught:
+            hold_on_obstacle(P, blocked=[0, bad])
+        assert str(caught.value) == f"blocked state must be an integer, got {bad!r}"
+
+    def test_numpy_integer_blocked_states_are_held(self):
+        P = random_walk_matrix(grid_graph(2, 2, 1.0))
+        want = hold_on_obstacle(P, blocked=[1, 3]).entries.tobytes()
+        assert hold_on_obstacle(P, blocked=np.array([3, 1])).entries.tobytes() == want
+        assert hold_on_obstacle(P, blocked=[np.int32(1), np.uint16(3)]).entries.tobytes() == want
 
     @given(connected_graphs(max_n=9), st.data())
     @settings(max_examples=100)
