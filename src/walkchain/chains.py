@@ -68,8 +68,8 @@ class StochasticMatrix:
     ``_transitions`` alone; class structure, reachability, ``sample_path``
     and ``pipeline.smooth`` all read it there. ``entries`` is the dense
     n x n view; only the dense algebra (``analyze``, ``n_step``, ``evolve``,
-    ``transient``, ``generator``) reads it. It, ``_class_structure`` and
-    ``stationary_distribution`` are kept in ``_memo`` once built; a pickle holds none.
+    ``transient``, ``generator``) reads it. It, ``_class_structure``, ``stationary_distribution``
+    and ``_spectrum`` are kept in ``_memo`` once built; a pickle holds none.
 
     ``row_sum_tol`` is the admissible deviation of each row sum from 1. The
     default is tight; operations that intentionally under-approximate rows
@@ -226,6 +226,14 @@ def _integer(value, must: str) -> int:
     return int(value)
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's PCG64 stream for ``seed``, checked to be a Python or numpy integer >= 0 (no bool)."""
+    must = "seed must be an integer >= 0"
+    if _integer(seed, must) < 0:
+        raise ValueError(f"{must}, got {seed!r}")
+    return np.random.default_rng(int(seed))
+
+
 def _power(P: StochasticMatrix, n: int) -> np.ndarray:
     """Dense P**n for a step count n, checked to be a non-negative integer."""
     must = "step count must be a non-negative integer"
@@ -376,38 +384,55 @@ def stationary_distribution(P: StochasticMatrix) -> Distribution:
 
 
 def mixing_rate(P: StochasticMatrix) -> float:
-    """Second-largest eigenvalue modulus of P's general ``eigvals``: the per-step contraction."""
-    return _rate(P, None, None)
+    """Second-largest eigenvalue modulus of P: the per-step contraction ``analyze`` reports.
 
-
-def _rate(P: StochasticMatrix, pi: Distribution | None, spectrum: _Spectrum | None) -> float:
-    """``mixing_rate`` from ``spectrum`` when there is one, else from its own eigenvalue solve.
-
-    Given a stationary law pi with every entry positive, S = D_pi^1/2 P
-    D_pi^-1/2 is similar to P, and symmetric exactly when P is reversible
-    (pi_i P_ij = pi_j P_ji), as every random walk on a map is. When
-    max |S - S^T| <= REVERSIBLE_TOL (1e-10) the spectrum comes from a
-    symmetric solver on S (Levin, Peres & Wilmer, *Markov Chains and Mixing
-    Times*, section 12.1); it then lies within about n * REVERSIBLE_TOL of P's
-    (Bauer-Fike). That solver is ``eigvalsh`` below SPECTRAL_MIN_N states and
-    ``eigh`` from there on, whose eigenvectors ``analyze`` reuses for the
-    mixing time. Otherwise, and without ``pi``, the spectrum comes from the
-    general ``eigvals`` of P.
+    0.0 for one state, and 1.0 for an irreducible chain of period d > 1, with no spectrum:
+    every d-th root of unity is an eigenvalue (Perron-Frobenius; Seneta, *Non-negative
+    Matrices and Markov Chains*, ch. 1). Otherwise from the spectrum of S kept on P
+    (``_spectrum``), or, for a chain without one, from P's general ``eigvals``.
     """
     if P.n == 1:
         return 0.0
-    if spectrum is not None:
-        eigenvalues = spectrum.lam
-    else:
-        found = None if pi is None else _symmetrized(P, pi)
-        eigenvalues = np.linalg.eigvals(P.entries) if found is None else np.linalg.eigvalsh(found[0])
+    classes, _, periods = _class_structure(P)
+    if len(classes) == 1 and periods[0] > 1:
+        return 1.0
+    sp = _spectrum(P)
+    eigenvalues = np.linalg.eigvals(P.entries) if sp is None else sp.lam
     return float(np.sort(np.abs(eigenvalues))[-2])
 
 
-def _symmetrized(P: StochasticMatrix, pi: Distribution) -> tuple[np.ndarray, float] | None:
-    """S = D_pi^1/2 P D_pi^-1/2 and the largest row sum of |S - S^T|, when pi > 0 and
-    max |S - S^T| <= REVERSIBLE_TOL; else None."""
-    root = np.sqrt(pi.probs)
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """Eigenvalues ``lam`` of S = D_pi^1/2 P D_pi^-1/2, with pi, its square root and ``asym``,
+    the largest row sum of |S - S^T| as measured. ``lam`` and ``eigh``'s orthonormal columns
+    ``U`` are ordered by |lambda| descending; from ``eigvalsh``, ``lam`` ascends, ``U`` None.
+
+    Row i of P**t is ((U[i] * lam**t) @ U.T) * root / root[i] (Levin, Peres & Wilmer,
+    Lemma 12.2), so any rows of any power cost a row-by-matrix product.
+    """
+
+    lam: np.ndarray
+    U: np.ndarray | None
+    pi: np.ndarray
+    root: np.ndarray
+    asym: float
+
+
+@_kept
+def _spectrum(P: StochasticMatrix) -> _Spectrum | None:
+    """The spectrum of S = D_pi^1/2 P D_pi^-1/2 for a reversible chain; None for any other.
+
+    With P's stationary law pi > 0, S is similar to P, and symmetric exactly when P is
+    reversible (pi_i P_ij = pi_j P_ji), as every random walk on a map is. When max |S - S^T|
+    <= REVERSIBLE_TOL (1e-10), a symmetric solver on S gives the spectrum (Levin, Peres &
+    Wilmer, *Markov Chains and Mixing Times*, section 12.1), within about n * REVERSIBLE_TOL
+    of P's (Bauer-Fike): ``eigh``, whose eigenvectors the mixing-time search reuses, from
+    SPECTRAL_MIN_N states on, and ``eigvalsh`` below. A reducible chain has no unique pi.
+    """
+    if len(_class_structure(P)[0]) != 1:
+        return None
+    pi = stationary_distribution(P).probs
+    root = np.sqrt(pi)
     if not np.all(root > 0):
         return None
     S = P.entries * root[:, None]
@@ -416,39 +441,13 @@ def _symmetrized(P: StochasticMatrix, pi: Distribution) -> tuple[np.ndarray, flo
     np.abs(asym, out=asym)
     if asym.max() > REVERSIBLE_TOL:
         return None
-    return S, float(asym.sum(axis=1).max())
-
-
-@dataclass(frozen=True, eq=False)
-class _Spectrum:
-    """``eigh`` of S = D_pi^1/2 P D_pi^-1/2: eigenvalues ``lam`` and orthonormal columns ``U``,
-    both ordered by |lambda| descending, with pi, its square root and ``asym``, the largest
-    row sum of |S - S^T| as measured.
-
-    Row i of P**t is ((U[i] * lam**t) @ U.T) * root / root[i] (Levin, Peres & Wilmer,
-    Lemma 12.2), so any rows of any power cost a row-by-matrix product.
-    """
-
-    lam: np.ndarray
-    U: np.ndarray
-    pi: np.ndarray
-    root: np.ndarray
-    asym: float
-
-
-def _spectrum(P: StochasticMatrix) -> _Spectrum | None:
-    """One ``eigh`` of S when P has at least SPECTRAL_MIN_N states and is reversible, else None."""
+    asym = float(asym.sum(axis=1).max())
     if P.n < SPECTRAL_MIN_N:
-        return None
-    pi = stationary_distribution(P)
-    found = _symmetrized(P, pi)
-    if found is None:
-        return None
-    lam, U = np.linalg.eigh(found[0])
-    asym = found[1]
-    del found  # frees S before U is copied in |lambda| order
+        return _Spectrum(np.linalg.eigvalsh(S), None, pi, root, asym)
+    lam, U = np.linalg.eigh(S)
+    del S  # frees S before U is copied in |lambda| order
     order = np.argsort(-np.abs(lam), kind="stable")
-    return _Spectrum(lam[order], U[:, order], pi.probs, np.sqrt(pi.probs), asym)
+    return _Spectrum(lam[order], U[:, order], pi, root, asym)
 
 
 def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
@@ -464,9 +463,9 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
     distance of any one row (Levin, Peres & Wilmer, *Markov Chains and Mixing
     Times*, section 4.4).
 
-    A reversible chain (see ``_rate``) with at least SPECTRAL_MIN_N
-    states is searched in the spectrum of S = D_pi^1/2 P D_pi^-1/2, from one
-    ``eigh``: row i of P**t is then one row-by-matrix product (Lemma 12.2),
+    A reversible chain with at least SPECTRAL_MIN_N states is searched in
+    the spectrum of S = D_pi^1/2 P D_pi^-1/2 kept on P (``_spectrum``), from
+    one ``eigh``: row i of P**t is then one row-by-matrix product (Lemma 12.2),
     with |lambda|**t below SPECTRAL_FLUSH taken as 0. The largest TV
     distance L(t) over a few candidate rows, seeded where the slowest mode
     is largest and smallest, is a lower bound on d(t) that never increases.
@@ -486,31 +485,26 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
     the lifting takes them as its jumps. That takes at most 2k + 1 matrix
     products and about k + 3 n x n arrays besides P.
 
-    Raises ValueError when cap is not a Python or numpy integer (a bool is not), or eps is NaN.
+    Raises ValueError when cap is not a Python or numpy integer (a bool is not), or eps is
+    NaN or not a real number.
     """
     cap = _integer(cap, "cap must be an integer")
-    if math.isnan(eps):
+    if not isinstance(eps, (int, float, np.integer, np.floating)) or math.isnan(eps):
         raise ValueError(f"eps must be a number, got {eps!r}")
     stationary_distribution(P)  # raises for a reducible chain
     if cap < 1 or (_class_structure(P)[2][0] > 1 and eps < 0.5):
         return None
-    return _mixing_time(P, eps, cap, _spectrum(P))
+    sp = _spectrum(P)
+    if sp is not None and sp.U is not None:
+        try:
+            return _spectral_search(sp, eps, cap)
+        except _WithinBand:
+            pass
+    return _level_search(P, eps, cap, stationary_distribution(P).probs[None, :])
 
 
 class _WithinBand(Exception):
     """A decision of the spectral search came within its guard band of eps."""
-
-
-def _mixing_time(P: StochasticMatrix, eps: float, cap: int,
-                 spectrum: _Spectrum | None) -> int | None:
-    """``mixing_time`` for an integer cap >= 1: in ``spectrum`` when there is one, else over
-    powers of P."""
-    if spectrum is not None:
-        try:
-            return _spectral_search(spectrum, eps, cap)
-        except _WithinBand:
-            pass
-    return _level_search(P, eps, cap, stationary_distribution(P).probs[None, :])
 
 
 def _spectral_search(sp: _Spectrum, eps: float, cap: int) -> int | None:
@@ -646,23 +640,15 @@ def _level_search(P: StochasticMatrix, eps: float, cap: int, pi: np.ndarray) -> 
 def analyze(P: StochasticMatrix) -> ChainAnalysis:
     """Full structural report: classes, closure, periods, stationary behavior.
 
-    The class structure and the stationary law are each derived once and
-    kept on P, where the mixing-time search and ``hitting_times`` find them.
+    The class structure, the stationary law and the spectrum of S are each
+    derived once and kept on P, where ``mixing_rate``, ``mixing_time`` and
+    ``hitting_times`` find them; the rate and mixing time reported are theirs.
     """
     classes, closed, periods = _class_structure(P)
     irreducible = len(classes) == 1
     stationary = rate = t_mix = None
     if irreducible:
-        stationary = stationary_distribution(P)
-        if periods[0] > 1:
-            # a period d > 1 puts every d-th root of unity in the spectrum (Perron-Frobenius;
-            # Seneta, *Non-negative Matrices and Markov Chains*, ch. 1), so no spectrum is
-            # needed, and d(t) >= 1/2 > MIXING_EPS for every t (see mixing_time)
-            rate, t_mix = 1.0, None
-        else:
-            spectrum = _spectrum(P)  # one eigh for the rate and the search
-            rate = _rate(P, stationary, spectrum)
-            t_mix = _mixing_time(P, MIXING_EPS, MIXING_TIME_CAP, spectrum)
+        stationary, rate, t_mix = stationary_distribution(P), mixing_rate(P), mixing_time(P)
     return ChainAnalysis(
         classes=classes,
         closed=closed,
@@ -749,7 +735,7 @@ def sample_path(P: StochasticMatrix, start: int, n_steps: int, seed: int) -> np.
     indptr, cols, probs = (a.tolist() for a in _transitions(P))
     bounds = [list(accumulate(probs[a:b])) for a, b in zip(indptr, indptr[1:])]
     targets = [cols[a:b] + [P.n - 1] for a, b in zip(indptr, indptr[1:])]  # n - 1: past the total
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     path = np.empty(n_steps + 1, dtype=int)
     path[0] = state = start
     block = 4096  # draws per block: rng.random(k) per block continues one stream

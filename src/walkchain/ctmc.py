@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import StochasticMatrix
+from .chains import StochasticMatrix, _rng
 
 DEFAULT_TAIL_TOL = 1e-9
 # floats cannot certify tails below ~1e-16; keep a safe margin
@@ -288,7 +288,7 @@ def sample_arrivals(rate: float, horizon: float, seed: int) -> np.ndarray:
     _check_rate(rate)
     if not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     times: list[float] = []
     t = 0.0
     while True:

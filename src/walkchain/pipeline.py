@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .chains import StochasticMatrix, _integer, _join_or_write, _transitions, sample_path
+from .chains import StochasticMatrix, _integer, _join_or_write, _rng, _transitions, sample_path
 from .mapgraph import LocalPoint, PathGraph, _document, _get_number
 from .profiles import WalkingProfile
 
@@ -192,7 +192,7 @@ def simulate_walk(
     """
     if P.n != g.n:
         raise ValueError(f"matrix has {P.n} states but graph has {g.n} vertices")
-    if not (0 <= start < g.n):
+    if not (0 <= _integer(start, "start vertex must be an integer") < g.n):
         raise ValueError(f"start vertex {start} outside 0..{g.n - 1}")
     path = sample_path(P, start, n_steps, seed)
     pos = g.positions()
@@ -209,9 +209,10 @@ def simulate_walk(
 
 def add_noise(tr: Trace, sigma: float, seed: int) -> Trace:
     """Add isotropic zero-mean Gaussian position noise; times and truth survive."""
-    if not (math.isfinite(sigma) and sigma >= 0):
+    if not (isinstance(sigma, (int, float, np.integer, np.floating)) and math.isfinite(sigma)
+            and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     noise = rng.normal(0.0, sigma, size=(len(tr), 2)) if sigma > 0 else np.zeros((len(tr), 2))
     return Trace(t=tr.t, xy=tr.xy + noise, truth=tr.truth)
 

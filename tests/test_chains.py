@@ -288,8 +288,6 @@ class TestKeptDerivations:
     def test_no_function_takes_the_law_of_its_chain(self):
         assert list(inspect.signature(stationary_distribution).parameters) == ["P"]
         assert list(inspect.signature(chains._spectrum).parameters) == ["P"]
-        assert list(inspect.signature(chains._mixing_time).parameters) == ["P", "eps", "cap",
-                                                                          "spectrum"]
         assert stationary_distribution.__name__ == "stationary_distribution"
         assert stationary_distribution.__doc__.startswith("Unique stationary vector")
 
@@ -299,7 +297,7 @@ class TestKeptDerivations:
         P = pickle.loads(pickle.dumps(P))  # a fresh copy, as the parametrized one is shared
         blank = pickle.dumps(P)
         a, H = analyze(P), hitting_times(P)
-        assert len(P._memo) == 3  # the dense view, the class structure and the law
+        assert len(P._memo) == 4  # the dense view, the class structure, the law and the spectrum
         assert pickle.dumps(P) == blank
         Q = pickle.loads(blank)
         assert Q._memo == {}
@@ -380,20 +378,21 @@ class TestSymmetricMixingRate:
     @settings(max_examples=80)
     def test_reversible_chain_matches_eigvals_and_slem(self, W):
         P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
-        pi = stationary_distribution(P)
-        assert chains._symmetrized(P, pi) is not None  # the symmetric route is the one taken
-        got = chains._rate(P, pi, chains._spectrum(P))
+        sp = chains._spectrum(P)
+        assert sp is not None  # the symmetric route is the one taken
+        got = float(np.sort(np.abs(sp.lam))[-2])
         d = np.sqrt(W.sum(axis=1))
         slem = np.sort(np.abs(np.linalg.eigvalsh(W / np.outer(d, d))))[-2]
-        assert abs(got - mixing_rate(P)) <= 1e-12
+        assert abs(got - np.sort(np.abs(np.linalg.eigvals(P.entries)))[-2]) <= 1e-12
         assert abs(got - slem) <= 1e-12
+        assert mixing_rate(P) == (got if analyze(P).periods == (1,) else 1.0)  # 1.0: periodic
 
     @given(_directed_cycles())
     @settings(max_examples=60)
     def test_non_reversible_chain_takes_eigvals(self, P):
-        pi = analyze(P).stationary
-        assert chains._symmetrized(P, pi) is None
-        assert chains._rate(P, pi, chains._spectrum(P)) == mixing_rate(P)
+        analyze(P)
+        assert chains._spectrum(P) is None
+        assert mixing_rate(P) == float(np.sort(np.abs(np.linalg.eigvals(P.entries)))[-2])
 
 
 def _cyclic_blocks(sizes) -> StochasticMatrix:
@@ -436,7 +435,7 @@ class TestPeriodicMixingRate:
     def test_aperiodic_chain_keeps_its_spectrum(self, P):
         a = analyze(P)
         assert a.periods == (1,)
-        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P))
+        assert a.mixing_rate == float(np.sort(np.abs(chains._spectrum(P).lam))[-2])
 
 
 class TestPassageTimes:
@@ -701,6 +700,13 @@ class TestReferenceOracles:
             assert str(caught.value) == f"eps must be a number, got {eps!r}"
         assert [mixing_time(FLIP, eps) for eps in (-1, 0, 1, 2)] == [None, None, 1, 1]
 
+    def test_eps_must_be_a_real_number(self):
+        for eps in ("x", None, "0.25", [0.25], 0.25j):
+            with pytest.raises(ValueError) as caught:
+                mixing_time(LAZY_FLIP, eps)
+            assert str(caught.value) == f"eps must be a number, got {eps!r}"
+        assert mixing_time(LAZY_FLIP, np.float32(0.25)) == mixing_time(LAZY_FLIP, np.int64(1)) == 1
+
 
 def _parent_mixing_time(P: StochasticMatrix, eps: float = 0.25, cap: int = chains.MIXING_TIME_CAP,
                         *, stationary=None, period=None):
@@ -795,7 +801,7 @@ class TestMixingLevels:
         P = _sm([[1.0 - a, a], [a, 1.0 - a]])
         known = {"stationary": Distribution(np.array([0.5, 0.5])), "period": 1}
         products = _count_products(monkeypatch)
-        t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP, None)
+        t_mix = mixing_time(P)
         k = (t_mix - 1).bit_length() - 1  # the lifting ends at t_mix - 1 in [2**k, 2**(k + 1))
         assert len(products) == _level_bound(k)
         assert products == [((2, 2), (2, 2))] * len(products)
@@ -820,10 +826,10 @@ class TestMixingLevels:
     def test_peak_memory_at_n_324(self):
         P = _triangulated_grid(18, 18)
         a = analyze(P)  # builds P.entries before the trace starts
+        del P._memo[chains._spectrum.__wrapped__]  # the eigh runs inside the trace
         tracemalloc.start()
         try:
-            t_mix = chains._mixing_time(P, chains.MIXING_EPS, chains.MIXING_TIME_CAP,
-                                        chains._spectrum(P))
+            t_mix = mixing_time(P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -988,6 +994,18 @@ class TestSamplePath:
         want = sample_path(K3, 2, 40, seed=5).tolist()
         assert sample_path(K3, np.int64(2), np.int32(40), seed=5).tolist() == want
 
+    @pytest.mark.parametrize("bad", [1.5, -1, np.int64(-1), True, np.True_, np.float64(2.0), "1",
+                                     None])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError) as caught:
+            sample_path(K3, 0, 2, bad)
+        assert str(caught.value) == f"seed must be an integer >= 0, got {bad!r}"
+
+    def test_numpy_integer_seeds_give_the_same_path(self):
+        want = sample_path(K3, 0, 40, seed=5).tolist()
+        for seed in (np.int64(5), np.uint8(5), np.int32(5)):
+            assert sample_path(K3, 0, 40, seed).tolist() == want
+
 
 class TestCsv:
     @given(stochastic_matrices())
@@ -1099,6 +1117,14 @@ def _reversible_chains_above_the_size_rule(draw) -> StochasticMatrix:
     return _lazy(P, hold) if hold else P
 
 
+def _drifting_cycle(n: int) -> StochasticMatrix:
+    """Lazy walk one or two steps round a cycle, never back: irreducible, aperiodic, not reversible."""
+    P = np.diag(np.full(n, 0.5))
+    P[np.arange(n), (np.arange(n) + 1) % n] = 0.3
+    P[np.arange(n), (np.arange(n) + 2) % n] = 0.2
+    return StochasticMatrix(P)
+
+
 def _without_spectrum(monkeypatch, *solvers):
     for solver in solvers:
         monkeypatch.delattr(np.linalg, solver)
@@ -1120,8 +1146,8 @@ class TestSpectralMixing:
             assert mixing_time(P, eps, cap) == _parent_mixing_time(P, eps, cap, **known)
 
     def test_one_eigh_per_analyze_and_no_product_of_powers(self, monkeypatch):
-        P = _triangulated_grid(18, 18)
-        want = _parent_mixing_time(P)
+        want = _parent_mixing_time(_triangulated_grid(18, 18))
+        P = _triangulated_grid(18, 18)  # fresh: the reference's analyze keeps a spectrum
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape)
@@ -1135,8 +1161,9 @@ class TestSpectralMixing:
     def test_rate_is_the_same_from_analyze_and_mixing_rate(self):
         P = _triangulated_grid(18, 18)
         a = analyze(P)
-        assert a.mixing_rate == chains._rate(P, a.stationary, chains._spectrum(P))
-        S = chains._symmetrized(P, a.stationary)[0]
+        assert a.mixing_rate == mixing_rate(P)
+        root = np.sqrt(a.stationary.probs)
+        S = P.entries * root[:, None] / root
         assert abs(a.mixing_rate - np.sort(np.abs(np.linalg.eigvalsh(S)))[-2]) <= 1e-14
 
     def test_bipartite_grid_computes_no_spectrum(self, monkeypatch):
@@ -1198,11 +1225,7 @@ class TestSpectralMixing:
             assert len(full) >= 2 and full[0][1] > eps >= full[-1][1] and full[-1][0] == t_mix
 
     def test_non_reversible_chain_keeps_the_parent_search(self, monkeypatch):
-        n = chains.SPECTRAL_MIN_N + 10
-        P = np.diag(np.full(n, 0.5))
-        P[np.arange(n), (np.arange(n) + 1) % n] = 0.3
-        P[np.arange(n), (np.arange(n) + 2) % n] = 0.2
-        P = StochasticMatrix(P)
+        P = _drifting_cycle(chains.SPECTRAL_MIN_N + 10)
         assert chains._spectrum(P) is None
         _without_spectrum(monkeypatch, "eigh", "eigvalsh")
         products = _count_products(monkeypatch)
@@ -1239,9 +1262,10 @@ class TestTheChainIsTheOnlyInput:
         assert mixing_time(P, 0.25) == 1 == _reference_mixing_time(P, 0.25, cap=50)[0]
         assert mixing_time(P, 0.01) == 6 == _reference_mixing_time(P, 0.01, cap=50)[0]
 
-    def test_mixing_rate_is_the_general_spectrum(self):
-        P = _triangulated_grid(6, 6)  # reversible: analyze takes the symmetric spectrum
-        assert mixing_rate(P) == float(np.sort(np.abs(np.linalg.eigvals(P.entries)))[-2])
+    def test_mixing_rate_is_the_rate_analyze_reports(self):
+        P = _triangulated_grid(6, 6)  # reversible: the rate comes from the symmetric spectrum
+        assert mixing_rate(P) == analyze(P).mixing_rate
+        assert abs(mixing_rate(P) - np.sort(np.abs(np.linalg.eigvals(P.entries)))[-2]) <= 1e-12
 
     @pytest.mark.parametrize("P", [
         _campus_walk(), random_walk_matrix(grid_graph(1, 2)), random_walk_matrix(grid_graph(4, 5)),
@@ -1266,3 +1290,32 @@ class TestTheChainIsTheOnlyInput:
         for fn in (hitting_times, mixing_time):
             with pytest.raises(ValueError, match=r"^chain is reducible \(\d+ communicating classes\)"):
                 fn(P)
+
+
+class TestOneSpectrumPerChain:
+    """``analyze`` reports ``mixing_rate(P)`` and ``mixing_time(P)``, from one kept spectrum."""
+
+    @pytest.mark.parametrize("make, solver", [
+        (_campus_walk, "eigvalsh"), (lambda: random_walk_matrix(grid_graph(4, 5)), None),
+        (lambda: _triangulated_grid(6, 6), "eigvalsh"), (lambda: _triangulated_grid(18, 18), "eigh"),
+        (lambda: _drifting_cycle(chains.SPECTRAL_MIN_N + 10), "eigvals"),
+    ], ids=["campus", "grid4x5", "tri6x6", "tri18x18", "drifting130"])
+    def test_analyze_reports_the_public_rate_and_time(self, make, solver, monkeypatch):
+        P = make()
+        solvers = ("eigh", "eigvalsh", "eigvals")
+        calls = []
+        for name in solvers:
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _f=getattr(np.linalg, name),
+                                **kw: calls.append(_name) or _f(*args, **kw))
+        a = analyze(P)
+        assert calls == ([solver] if solver else [])  # at most one eigen-solver per chain
+        if solver != "eigvals":  # a chain without a kept spectrum calls eigvals again
+            _without_spectrum(monkeypatch, *solvers)
+        rate, t_mix = mixing_rate(P), mixing_time(P)
+        assert type(rate) is float and rate.hex() == a.mixing_rate.hex()
+        assert t_mix == a.mixing_time
+
+    def test_a_reducible_chain_keeps_the_general_spectrum(self):
+        P = _sm(REDUCIBLE.entries)
+        assert chains._spectrum(P) is None
+        assert mixing_rate(P) == float(np.sort(np.abs(np.linalg.eigvals(P.entries)))[-2]) == 1.0

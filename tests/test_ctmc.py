@@ -444,6 +444,17 @@ class TestClock:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("bad", [1.5, -1, np.int64(-1), True, np.float64(2.0), "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError) as caught:
+            sample_arrivals(1.0, 2.0, bad)
+        assert str(caught.value) == f"seed must be an integer >= 0, got {bad!r}"
+
+    def test_numpy_integer_seeds_give_the_same_arrivals(self):
+        want = sample_arrivals(2.0, 50.0, seed=11)
+        for seed in (np.int64(11), np.uint32(11)):
+            assert sample_arrivals(2.0, 50.0, seed).tobytes() == want.tobytes()
+
     def test_zero_horizon_gives_no_events(self):
         assert sample_arrivals(5.0, 0.0, seed=1).size == 0
 

@@ -170,12 +170,12 @@ class TestSimulateWalk:
         for a, b in zip(states, states[1:]):
             assert (min(a, b), max(a, b)) in edge_set
 
-    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "a"])
     def test_start_must_be_an_integer(self, bad):
         g = grid_graph(2, 2, 1.0)
         with pytest.raises(ValueError) as caught:
             simulate_walk(g, random_walk_matrix(g), NORMAL, start=bad, n_steps=3, seed=1)
-        assert str(caught.value) == f"start state must be an integer, got {bad!r}"
+        assert str(caught.value) == f"start vertex must be an integer, got {bad!r}"
 
     def test_matches_bare_chain_sample_with_same_seed(self):
         g = grid_graph(3, 3, 1.0)
@@ -248,6 +248,24 @@ class TestAddNoise:
         tr = Trace(t=[0.0], xy=[[0, 0]])
         with pytest.raises(ValueError):
             add_noise(tr, sigma=-0.1, seed=0)
+
+    @pytest.mark.parametrize("bad", ["1", None, [1.0], 1j])
+    def test_sigma_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError) as caught:
+            add_noise(Trace(t=[0.0], xy=[[0, 0]]), bad, 1)
+        assert str(caught.value) == f"sigma must be finite and >= 0, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [1.5, -1, np.int64(-1), True, np.float64(2.0), "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError) as caught:
+            add_noise(Trace(t=[0.0], xy=[[0, 0]]), 1.0, bad)
+        assert str(caught.value) == f"seed must be an integer >= 0, got {bad!r}"
+
+    def test_numpy_integer_seeds_give_the_same_noise(self):
+        tr = Trace(t=np.arange(5.0), xy=np.zeros((5, 2)))
+        want = add_noise(tr, 1.0, 7).positions()
+        for seed in (np.int64(7), np.uint16(7)):
+            assert add_noise(tr, 1.0, seed).positions().tobytes() == want.tobytes()
 
 
 class TestSnap:
