@@ -11,7 +11,8 @@ every job once in a fresh process of each tree: the tree's ``src`` and
 jobs compared and every job whose exit code, stderr, or any artifact's name or
 bytes differ between the trees, with the names of the differing files. It
 exits 1 when a job differs. Nothing is written under either tree: the scratch
-directory is ``--work`` or a temporary one, removed at the end.
+directory is ``--work``, refused when it lies inside either tree, or a
+temporary one, removed at the end.
 
 ``--workloads`` and ``--jobs N`` (the first N jobs of each) narrow the run for
 a quick check.
@@ -125,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
         if not (tree / "src" / "walkchain").is_dir() or not (tree / "bench" / "worker.py").is_file():
             raise SystemExit(f"error: {tree} is not a walkchain checkout with src/ and bench/")
     work = Path(tempfile.mkdtemp(prefix="ab-")) if args.work is None else args.work.resolve()
+    for tree in (parent, change):
+        if work.is_relative_to(tree):
+            raise SystemExit(f"error: --work {work} is inside the tree {tree}")
     work.mkdir(parents=True, exist_ok=True)
     try:
         report = artifacts(parent, change, args.seeds, args.workloads, args.jobs, work)

@@ -31,8 +31,6 @@ REVERSIBLE_TOL = 1e-10
 SPECTRAL_MIN_N = 120
 #: |lambda|**t below this counts as 0 in the spectral search, so no product meets a subnormal
 SPECTRAL_FLUSH = 1e-18
-#: steps probed at once in each round that narrows the spectral search's bracket
-SPECTRAL_PROBES = 15
 
 
 class UnreachableStateError(ValueError):
@@ -469,14 +467,14 @@ def mixing_time(P: StochasticMatrix, eps: float = MIXING_EPS,
     with |lambda|**t below SPECTRAL_FLUSH taken as 0. The largest TV
     distance L(t) over a few candidate rows, seeded where the slowest mode
     is largest and smallest, is a lower bound on d(t) that never increases.
-    Its first t with L(t) <= eps is bracketed by probing t = 1, 2, 4, ...,
-    cap and narrowed by SPECTRAL_PROBES probes per round; then all n rows of
-    P**t are built once. If d(t) <= eps as well, t is the answer: every
-    earlier step has L > eps. Otherwise the worst row joins the candidates
-    and the search resumes after t. Each of those comparisons must clear eps
-    by a guard band, a bound on the rounding of both this search and the one
-    below (``_guard_band``); one that does not hands the chain to the search
-    below, so the answer is always the one that search gives.
+    Its first t with L(t) <= eps is found by bisection on (0, cap]; then
+    all n rows of P**t are built once. If d(t) <= eps as well, t is the
+    answer: every earlier step has L > eps. Otherwise the worst row joins the
+    candidates and the bisection resumes on (t, cap]. The last L > eps and
+    that d must each clear eps by a guard band, a bound on the rounding of
+    both this search and the one below (``_guard_band``); one that does not
+    hands the chain to the search below, so the answer is always the one that
+    search gives.
 
     Below SPECTRAL_MIN_N states, where that takes longer, and for a chain
     that is not reversible, squaring brackets the answer in (s, 2s] with
@@ -508,35 +506,26 @@ class _WithinBand(Exception):
 
 
 def _spectral_search(sp: _Spectrum, eps: float, cap: int) -> int | None:
-    """The first t <= cap with d(t) <= eps, from ``sp``; None when d(cap) > eps.
-
-    Raises _WithinBand when a decision is too close to eps to be certain.
+    """The first t <= cap with d(t) <= eps, from ``sp``, by one bisection over the candidate
+    rows per round; None when d(cap) > eps. Raises _WithinBand when a decision is too close
+    to eps to be certain.
     """
     rows = _seed_rows(sp)
     lo, lo_d = 0, 1.0  # invariant: d(lo) > eps decided with lo_d, the L or d read there
     while lo < cap:
-        steps = [lo + (1 << j) for j in range((cap - lo - 1).bit_length())] + [cap]
-        first, L = _first_at_most(sp, rows, steps, eps)
-        if first == len(steps):
-            _above(L[-1], eps, _guard_band(sp, cap))
-            return None
-        if first:
-            lo, lo_d = steps[first - 1], L[first - 1]
-        hi = steps[first]
+        hi = cap + 1  # invariant: L(hi) <= eps, or hi = cap + 1
         while hi - lo > 1:
-            if hi - lo <= SPECTRAL_PROBES + 1:
-                probes = list(range(lo + 1, hi))
+            mid = (lo + hi) // 2
+            L = _row_distances(sp, rows, mid).max()
+            if L <= eps:
+                hi = mid
             else:
-                probes = (lo + (hi - lo) * np.arange(1, SPECTRAL_PROBES + 1)
-                          // (SPECTRAL_PROBES + 1)).tolist()
-            first, L = _first_at_most(sp, rows, probes, eps)
-            if first:
-                lo, lo_d = probes[first - 1], L[first - 1]
-            if first < len(probes):
-                hi = probes[first]
+                lo, lo_d = mid, L
         if lo:
             _above(lo_d, eps, _guard_band(sp, lo))
-        tv = _row_distances(sp, np.arange(sp.pi.size), [hi])[0]
+        if hi > cap:
+            return None
+        tv = _row_distances(sp, np.arange(sp.pi.size), hi)
         worst = int(np.argmax(tv))
         if not _above(tv[worst], eps, _guard_band(sp, hi)):
             return hi
@@ -552,30 +541,20 @@ def _seed_rows(sp: _Spectrum) -> list[int]:
     return sorted({int(np.argmax(f)), int(np.argmin(f))})
 
 
-def _first_at_most(sp: _Spectrum, rows, steps, eps: float) -> tuple[int, np.ndarray]:
-    """Index of the first of ``steps`` whose largest TV distance over ``rows`` is at most eps
-    (len(steps) when none is), and those largest distances."""
-    L = _row_distances(sp, rows, steps).max(axis=1)
-    at_most = np.flatnonzero(L <= eps)
-    return (int(at_most[0]) if at_most.size else len(steps)), L
+def _row_distances(sp: _Spectrum, rows, t: int) -> np.ndarray:
+    """TV distance from pi of row i of P**t, for i in ``rows``.
 
-
-def _row_distances(sp: _Spectrum, rows, steps) -> np.ndarray:
-    """TV distance from pi of row i of P**t, for t in ``steps`` (axis 0) and i in ``rows``.
-
-    One product of the (len(steps) * len(rows), k) scaled eigenvector rows by the k kept
-    modes: those whose |lambda|**min(steps) is at least SPECTRAL_FLUSH.
+    One product of the scaled eigenvector rows by the k kept modes: those whose
+    |lambda|**t is at least SPECTRAL_FLUSH, a prefix since |lambda| descends.
     """
-    t = np.asarray(steps)[:, None]
-    k = np.count_nonzero(np.abs(sp.lam) ** t.min() >= SPECTRAL_FLUSH)  # a prefix: |lam| descends
-    powers = sp.lam[:k] ** t
-    powers[np.abs(powers) < SPECTRAL_FLUSH] = 0.0
-    X = (powers[:, None, :] * sp.U[rows, :k]).reshape(-1, k) @ sp.U[:, :k].T  # rows of S**t
+    powers = sp.lam ** t
+    k = np.count_nonzero(np.abs(powers) >= SPECTRAL_FLUSH)
+    X = (sp.U[rows, :k] * powers[:k]) @ sp.U[:, :k].T  # rows of S**t
     X *= sp.root
-    X /= np.tile(sp.root[rows], t.size)[:, None]
+    X /= sp.root[rows, None]
     X -= sp.pi
     np.abs(X, out=X)
-    return 0.5 * X.sum(axis=1).reshape(t.size, -1)
+    return 0.5 * X.sum(axis=1)
 
 
 def _above(d: float, eps: float, band: float) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import StochasticMatrix, _rng
+from .chains import StochasticMatrix, _integer, _rng
 
 DEFAULT_TAIL_TOL = 1e-9
 # floats cannot certify tails below ~1e-16; keep a safe margin
@@ -94,8 +94,9 @@ def poisson_pmf(rate: float, t: float, n: int) -> float:
     form loses digits to cancellation (relative error ~1e-11 at n = 1e5).
     """
     mu = _poisson_mean(rate, t)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"count must be a non-negative integer, got {n!r}")
+    must = "count must be a non-negative integer"
+    if (n := _integer(n, must)) < 0:
+        raise ValueError(f"{must}, got {n!r}")
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     if n == 0:

@@ -47,3 +47,14 @@ def test_a_copy_matches_and_a_one_byte_mutant_is_named(tmp_path):
     for tree in (a, b, c):  # nothing is written into either tree
         assert not list((tree / "bench").rglob("__pycache__"))
         assert sorted(p.name for p in tree.iterdir()) == ["bench", "src"]
+
+
+def test_a_work_directory_inside_either_tree_is_refused(tmp_path):
+    a, b = (_tree(tmp_path / name) for name in "ab")
+    before = sorted(tmp_path.rglob("*"))
+    for work, tree in ((a / "w", a), (b, b), (b / "src" / "w", b)):
+        run = subprocess.run([sys.executable, str(AB), "artifacts", str(a), str(b),
+                              "--work", str(work)], capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr == f"error: --work {work.resolve()} is inside the tree {tree.resolve()}\n"
+    assert sorted(tmp_path.rglob("*")) == before

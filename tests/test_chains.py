@@ -1141,7 +1141,7 @@ class TestSpectralMixing:
         known = {"stationary": stationary_distribution(P), "period": periods[0]}
         assert chains._spectrum(P) is not None  # the spectral route
         t_mix = _parent_mixing_time(P, eps, 10_000, **known)
-        caps = {1, 10_000} | ({t_mix - 1, t_mix, t_mix + 1} - {0} if t_mix else set())
+        caps = {1, 2, 10_000} | ({t_mix - 1, t_mix, t_mix + 1} - {0} if t_mix else set())
         for cap in sorted(caps):
             assert mixing_time(P, eps, cap) == _parent_mixing_time(P, eps, cap, **known)
 
@@ -1157,6 +1157,19 @@ class TestSpectralMixing:
         a = analyze(P)
         assert calls == [(P.n, P.n)] and products == []
         assert a.mixing_time == want == 193
+
+    def test_one_bisection_and_one_full_check_per_round(self, monkeypatch):
+        P = _triangulated_grid(18, 18)
+        calls = []
+        row_distances = chains._row_distances
+        monkeypatch.setattr(chains, "_row_distances", lambda sp, rows, t: calls.append(
+            (len(rows) == P.n, t)) or row_distances(sp, rows, t))
+        cap = chains.MIXING_TIME_CAP
+        assert mixing_time(P, 0.25, cap) == 193
+        full = [i for i, (is_full, _) in enumerate(calls) if is_full]
+        assert full and full[-1] == len(calls) - 1 and calls[-1] == (True, 193)
+        rounds = np.diff([-1] + full) - 1  # candidate-row calls before each full check
+        assert rounds.max() <= math.ceil(math.log2(cap + 1))
 
     def test_rate_is_the_same_from_analyze_and_mixing_rate(self):
         P = _triangulated_grid(18, 18)
@@ -1191,7 +1204,7 @@ class TestSpectralMixing:
         known = {"stationary": a.stationary, "period": 1}
         sp = chains._spectrum(P)
         for t in (20, 40, 60, 80, 81, 82, 120):
-            d = float(chains._row_distances(sp, np.arange(P.n), [t]).max())
+            d = float(chains._row_distances(sp, np.arange(P.n), t).max())
             for eps in (math.nextafter(d, 0), d, math.nextafter(d, 1), d - 1e-15, d + 1e-15):
                 assert mixing_time(P, eps) == _parent_mixing_time(P, eps, **known)
 
@@ -1210,10 +1223,10 @@ class TestSpectralMixing:
         full = []
         row_distances = chains._row_distances
 
-        def spy(sp, rows, steps):
-            out = row_distances(sp, rows, steps)
+        def spy(sp, rows, t):
+            out = row_distances(sp, rows, t)
             if len(rows) == P.n:
-                full.append((steps[0], float(out.max())))
+                full.append((t, float(out.max())))
             return out
 
         monkeypatch.setattr(chains, "_seed_rows", lambda sp: [6 * 13 + 6])

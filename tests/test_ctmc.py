@@ -100,6 +100,14 @@ class TestPoisson:
         assert poisson_pmf(2.0, 1.0, 0) == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert poisson_pmf(2.0, 1.0, 2) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
 
+    def test_count_is_a_python_or_numpy_integer_and_never_a_bool(self):
+        for n in (2, 400):
+            for count in (np.int64(n), np.int32(n), np.uint16(n)):
+                assert poisson_pmf(1.0, 1.0, count).hex() == poisson_pmf(1.0, 1.0, n).hex()
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match=r"^count must be a non-negative integer, got "):
+                poisson_pmf(1.0, 1.0, bad)
+
     def test_pmf_survives_large_counts(self):
         # naive factorial would overflow long before n = 400
         v = poisson_pmf(1.0, 300.0, 400)
